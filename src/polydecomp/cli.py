@@ -21,6 +21,7 @@ from .collisions import CollisionParameterError, CollisionParams, alpha_exp, alp
 from .decompose import DivisorError, is_composite, is_decomposable, try_decompose
 from .density import REPORT_COLUMNS, TubeSpec, density_report, estimate_density
 from .polynomial import (
+    FIELDS,
     Polynomial,
     compose,
     format_polynomial,
@@ -33,7 +34,6 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_DOMAIN = 3
 
-ALGEBRAIC_FIELDS = ("rational", "real64", "complex64")
 ESTIMATE_FIELDS = {"real64": "real", "complex64": "complex"}
 
 
@@ -206,14 +206,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("compose", help="compose two monic original polynomials")
     p.add_argument("g")
     p.add_argument("h")
-    p.add_argument("--field", choices=ALGEBRAIC_FIELDS, default="rational")
+    p.add_argument("--field", choices=FIELDS, default="rational")
     p.add_argument("--out")
     p.set_defaults(func=_cmd_compose)
 
     p = sub.add_parser("decompose", help="find decompositions f = g(h)")
     p.add_argument("f")
     p.add_argument("--d", type=int, default=None, help="only this divisor")
-    p.add_argument("--field", choices=ALGEBRAIC_FIELDS, default="rational")
+    p.add_argument("--field", choices=FIELDS, default="rational")
     p.add_argument("--out")
     p.set_defaults(func=_cmd_decompose)
 
@@ -226,7 +226,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--B", type=float, default=1.0)
     p.add_argument("--samples", type=int, default=100_000)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--field", choices=ALGEBRAIC_FIELDS, default="real64")
+    p.add_argument("--field", choices=FIELDS, default="real64")
     p.add_argument("--mode", choices=("plain", "conditional"), default="plain")
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument("--out")
@@ -237,7 +237,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "params",
         help='JSON: {"variant": "exp"|"trig", "n", "d", "u", "v", "a", "w"|"z"}',
     )
-    p.add_argument("--field", choices=ALGEBRAIC_FIELDS, default="rational")
+    p.add_argument("--field", choices=FIELDS, default="rational")
     p.add_argument("--out")
     p.set_defaults(func=_cmd_collide)
     return parser

@@ -23,6 +23,7 @@ blocks; POLYDECOMP_THREADS caps the workers.
 from __future__ import annotations
 
 import math
+import numbers
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -33,7 +34,6 @@ from .batched import section_batch
 from .decompose import divisor_plan, is_composite, nt_set, section
 
 _BLOCK_SIZE = 1 << 16
-_MASK64 = (1 << 64) - 1
 
 
 @dataclass(frozen=True)
@@ -222,7 +222,7 @@ class _SubspaceModel:
 
 
 def _block_rng(seed: int, index: int) -> np.random.Generator:
-    key = np.array([seed & _MASK64, index], dtype=np.uint64)
+    key = np.array([seed, index], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
 
@@ -293,6 +293,8 @@ def _sample_disk(rng, shape, B: float) -> np.ndarray:
 def _estimate(models, field, epsilon, B, samples, seed, mode, threads) -> EstimateResult:
     if samples < 1:
         raise ValueError("need at least one sample")
+    if not (isinstance(seed, numbers.Integral) and 0 <= seed < 1 << 64):
+        raise ValueError(f"seed must be an integer in [0, 2**64), got {seed!r}")
     if mode not in ("plain", "conditional"):
         raise ValueError(f"unknown mode {mode!r}")
     ambient = models[0].ambient

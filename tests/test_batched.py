@@ -4,17 +4,77 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from polydecomp.batched import complement_batch, section_batch, series_root_batch
+from polydecomp.batched import section_batch, series_root_batch
 from polydecomp.decompose import is_composite, nt_set, proper_divisors, section
-from polydecomp.polynomial import Polynomial, series_dth_root
+from polydecomp.polynomial import Polynomial, series_dth_root, truncate
+
+
+class GaussQ:
+    """Exact complex rational re + im*i with Fraction parts: a field in
+    which the scalar section runs without any rounding."""
+
+    def __init__(self, re, im=0):
+        self.re, self.im = Fraction(re), Fraction(im)
+
+    @staticmethod
+    def of(x):
+        return x if isinstance(x, GaussQ) else GaussQ(x)
+
+    def __add__(self, other):
+        o = GaussQ.of(other)
+        return GaussQ(self.re + o.re, self.im + o.im)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return GaussQ(-self.re, -self.im)
+
+    def __sub__(self, other):
+        return self + -GaussQ.of(other)
+
+    def __rsub__(self, other):
+        return GaussQ.of(other) - self
+
+    def __mul__(self, other):
+        o = GaussQ.of(other)
+        return GaussQ(self.re * o.re - self.im * o.im, self.re * o.im + self.im * o.re)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        o = GaussQ.of(other)
+        norm = o.re * o.re + o.im * o.im
+        return self * GaussQ(o.re / norm, -o.im / norm)
+
+    def __rtruediv__(self, other):
+        return GaussQ.of(other) / self
+
+    def __eq__(self, other):
+        o = GaussQ.of(other)
+        return self.re == o.re and self.im == o.im
+
+    __hash__ = None
+
+    def __complex__(self):
+        return complex(float(self.re), float(self.im))
 
 
 def exact_section_row(b_values, n, d):
     # Fraction(float) is exact, so this is the same input evaluated exactly
     ns = nt_set(n, d)
+    if np.iscomplexobj(b_values):
+        b = {i: GaussQ(v.real, v.imag) for i, v in zip(ns.nt, b_values)}
+        f = section(b, n, d)
+        return np.array([complex(GaussQ.of(f[i])) for i in range(1, n)])
     b = {i: Fraction(float(v)) for i, v in zip(ns.nt, b_values)}
     f = section(b, n, d)
     return np.array([float(f[i]) for i in range(1, n)])
+
+
+def assert_close_to_exact(got, want, rtol):
+    # error relative to the row's largest coefficient, and at least absolute
+    scale = max(1.0, float(np.abs(want).max()))
+    assert np.abs(got - want).max() <= rtol * scale
 
 
 class TestSeriesRootBatch:
@@ -30,22 +90,39 @@ class TestSeriesRootBatch:
                     q = series_dth_root(p, d, e)
                     rows.append([1.0] + [float(c) for c in cs])
                     expected.append([float(q[i]) for i in range(e)])
-                got = series_root_batch(np.array(rows), d)
+                # coefficient-major: one row per power of x
+                got = series_root_batch(np.array(rows).T, d).T
                 assert np.allclose(got, np.array(expected), atol=1e-12)
 
     def test_complex_dtype(self):
-        u = np.array([[1.0 + 0j, 0.5 + 0.25j, -0.125j]])
+        u = np.array([[1.0 + 0j], [0.5 + 0.25j], [-0.125j]])
         q = series_root_batch(u, 3)
+        assert q.dtype == np.complex128
         # cube the result truncated mod x^3 and compare with u
-        q0, q1, q2 = q[0]
+        q0, q1, q2 = q[:, 0]
         cube1 = 3 * q1
         cube2 = 3 * q2 + 3 * q1**2
-        assert abs(cube1 - u[0, 1]) < 1e-12
-        assert abs(cube2 - u[0, 2]) < 1e-12
+        assert abs(cube1 - u[1, 0]) < 1e-12
+        assert abs(cube2 - u[2, 0]) < 1e-12
+
+    @pytest.mark.parametrize("d,e", [(2, 2), (3, 4), (5, 5), (8, 8), (10, 10)])
+    def test_power_of_root_is_input(self, d, e):
+        # q^d = u mod x^e, with q's float coefficients raised to the d-th
+        # power exactly by Polynomial arithmetic over Fractions
+        rng = np.random.default_rng(10 * d + e)
+        u = rng.uniform(-1, 1, size=(e, 6))
+        u[0] = 1
+        q = series_root_batch(u, d)
+        for col in range(u.shape[1]):
+            power = truncate(Polynomial([Fraction(c) for c in q[:, col]]) ** d, e)
+            for t in range(e):
+                assert abs(float(power[t]) - u[t, col]) <= 1e-13, (d, e, col, t)
 
 
 class TestSectionBatch:
-    @pytest.mark.parametrize("n,d", [(4, 2), (6, 2), (6, 3), (9, 3), (12, 4), (20, 5)])
+    @pytest.mark.parametrize(
+        "n,d", [(4, 2), (6, 2), (6, 3), (9, 3), (12, 4), (20, 5), (30, 5), (64, 8)]
+    )
     def test_agrees_with_exact_section(self, n, d):
         rng = random.Random(100 * n + d)
         ns = nt_set(n, d)
@@ -53,9 +130,26 @@ class TestSectionBatch:
             [[rng.uniform(-1, 1) for _ in ns.nt] for _ in range(8)]
         )
         got = section_batch(rows, n, d)
+        assert got.shape == (8, n - 1) and got.dtype == np.float64
         for r in range(rows.shape[0]):
-            want = exact_section_row(rows[r], n, d)
-            assert np.allclose(got[r], want, atol=1e-9), (n, d, r)
+            assert_close_to_exact(got[r], exact_section_row(rows[r], n, d), 1e-13)
+
+    @pytest.mark.parametrize("n,d,field", [(20, 5, "real"), (64, 8, "real"), (12, 3, "complex")])
+    def test_block_equals_rows_one_at_a_time(self, n, d, field):
+        rng = np.random.default_rng(n + d)
+        shape = (300, len(nt_set(n, d).nt))
+        rows = rng.uniform(-1, 1, size=shape)
+        if field == "complex":
+            rows = rows + 1j * rng.uniform(-1, 1, size=shape)
+        block = section_batch(rows, n, d)
+        for r in range(0, shape[0], 7):
+            alone = section_batch(rows[r : r + 1], n, d)[0]
+            if field == "real":
+                assert np.array_equal(block[r], alone)
+            else:
+                # numpy's complex product may round differently in its
+                # vectorized loop and its scalar tail
+                assert_close_to_exact(block[r], alone, 1e-14)
 
     def test_all_divisors_up_to_16(self):
         rng = np.random.default_rng(5)
@@ -80,26 +174,14 @@ class TestSectionBatch:
         for pos, i in enumerate(ns.nt):
             assert np.allclose(full[:, i - 1], rows[:, pos], atol=1e-12)
 
-    def test_complement_batch_shape(self):
-        rng = np.random.default_rng(13)
-        n, d = 8, 2
-        ns = nt_set(n, d)
-        rows = rng.uniform(-1, 1, size=(7, len(ns.nt)))
-        dep = complement_batch(rows, n, d)
-        assert dep.shape == (7, ns.codim)
-
     def test_complex_agrees_with_exact(self):
-        rng = random.Random(17)
-        n, d = 6, 2
-        ns = nt_set(n, d)
-        rows = []
-        for _ in range(5):
-            rows.append([complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in ns.nt])
-        rows = np.array(rows, dtype=np.complex128)
-        got = section_batch(rows, n, d)
-        for r in range(5):
-            # oracle: the scalar Polynomial path on python complexes
-            b = {i: complex(rows[r][pos]) for pos, i in enumerate(ns.nt)}
-            f = section(b, n, d)
-            want = np.array([complex(f[i]) for i in range(1, n)])
-            assert np.allclose(got[r], want, atol=1e-12)
+        # (12, 3) is the benchmark's complex shape; the oracle runs the
+        # scalar section over Gaussian rationals
+        rng = np.random.default_rng(17)
+        for n, d in [(6, 2), (12, 3)]:
+            shape = (8, len(nt_set(n, d).nt))
+            rows = rng.uniform(-1, 1, size=shape) + 1j * rng.uniform(-1, 1, size=shape)
+            got = section_batch(rows, n, d)
+            assert got.shape == (8, n - 1) and got.dtype == np.complex128
+            for r in range(rows.shape[0]):
+                assert_close_to_exact(got[r], exact_section_row(rows[r], n, d), 1e-13)

@@ -150,6 +150,13 @@ class TestEstimate:
         assert code == 2
         assert err
 
+    def test_negative_seed_rejected(self, capsys):
+        code, out, err = run(
+            capsys, "estimate", "--n", "6", "--d", "2", "--eps", "0.1", "--seed", "-1",
+        )
+        assert code == 2
+        assert not out and "seed" in err
+
     def test_rational_field_rejected(self, capsys):
         code, _, _ = run(
             capsys, "estimate", "--n", "4", "--d", "2", "--eps", "0.1",

@@ -5,6 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from polydecomp.batched import section_batch
 from polydecomp.decompose import is_composite, divisor_plan, nt_set
 from polydecomp.density import (
     TubeSpec,
@@ -293,20 +294,34 @@ class TestEstimators:
         with pytest.raises(ValueError):
             estimate_density(spec, 0)
 
+    @pytest.mark.parametrize("seed", [-1, 2**64, 2**64 + 5, 1.5])
+    def test_seed_outside_64_bits_rejected(self, seed):
+        # a masked seed would alias -1 with 2**64 - 1
+        spec = TubeSpec(n=6, d=2, epsilon=0.1, B=1.0)
+        with pytest.raises(ValueError):
+            estimate_density(spec, 100, seed=seed)
+        with pytest.raises(ValueError):
+            estimate_subspace_density(5, 2, 0.1, 1.0, 100, seed=seed)
+
+    def test_largest_seed_accepted(self):
+        spec = TubeSpec(n=6, d=2, epsilon=0.5, B=1.0)
+        r = estimate_density(spec, 1000, seed=2**64 - 1, mode="plain")
+        assert r.seed == 2**64 - 1
+        assert r.mean != estimate_density(spec, 1000, seed=0, mode="plain").mean
+
 
 class TestAgainstQuadrature:
     def test_conditional_matches_midpoint_rule(self):
         # deterministic oracle: midpoint quadrature over the three
         # determining coordinates at (6,2), no sampling involved
-        from polydecomp.batched import complement_batch
-
         n, d, eps, B = 6, 2, 0.1, 1.0
         grid = 100
         centers = ((np.arange(grid) + 0.5) / grid) * 2 * B - B
         pts = np.stack(
             np.meshgrid(centers, centers, centers, indexing="ij"), axis=-1
         ).reshape(-1, 3)
-        pred = complement_batch(pts, n, d)
+        pred = section_batch(pts, n, d)[:, [i - 1 for i in nt_set(n, d).complement]]
+        assert pred.shape == (grid**3, nt_set(n, d).codim)
         lo = np.maximum(pred - eps, -B)
         hi = np.minimum(pred + eps, B)
         w = (np.clip(hi - lo, 0.0, None) / (2 * B)).prod(axis=1)
@@ -317,14 +332,12 @@ class TestAgainstQuadrature:
         assert b.lower <= quadrature <= b.upper + FP_GUARD
 
     def test_plain_membership_matches_scalar_oracle(self):
-        from polydecomp.batched import complement_batch
-
         rng = np.random.default_rng(99)
         eps = 0.15
         for n, d in [(4, 2), (6, 2), (6, 3), (9, 3)]:
             ns = nt_set(n, d)
             a = rng.uniform(-1, 1, size=(200, n - 1))
-            pred = complement_batch(a[:, [i - 1 for i in ns.nt]], n, d)
+            pred = section_batch(a[:, [i - 1 for i in ns.nt]], n, d)[:, [i - 1 for i in ns.complement]]
             fast = (np.abs(a[:, [i - 1 for i in ns.complement]] - pred) < eps).all(axis=1)
             slow = np.array([tube_membership(list(row), n, d, eps) for row in a])
             assert (fast == slow).all()
