@@ -16,10 +16,8 @@ Run:  python3 demos/density_experiment.py
 
 from polydecomp import (
     TubeSpec,
-    bounds_complex,
-    bounds_real,
-    bounds_real_union,
     cheng_bound,
+    density_bounds,
     estimate_density,
     estimate_subspace_density,
     tube_membership,
@@ -34,7 +32,7 @@ for n, d in [(4, 2), (6, 2), (6, 3), (9, 3)]:
     for eps in (0.1, 0.2):
         spec = TubeSpec(n=n, d=d, epsilon=eps, B=1.0)
         r = estimate_density(spec, SAMPLES, seed=1, mode="conditional")
-        b = bounds_real(n, d, eps, 1.0)
+        b = density_bounds(spec)
         print(f"{n:>3} {d:>3} {eps:>5} | {b.lower:>10.6f} {r.mean:>10.6f} "
               f"{3 * r.std_error:>9.1e} {b.upper:>10.6f}")
 
@@ -42,7 +40,7 @@ for n, d in [(4, 2), (6, 2), (6, 3), (9, 3)]:
 # n = 6) is measured with the plain estimator; the bracket gains delta = 2.
 spec = TubeSpec(n=6, d=None, epsilon=0.1, B=1.0)
 r = estimate_density(spec, 2 * SAMPLES, seed=2, mode="plain")
-b = bounds_real_union(6, 0.1, 1.0)
+b = density_bounds(spec)
 print(f"\nunion n=6: estimate {r.mean:.6f} (se {r.std_error:.1e}) "
       f"bracket [{b.lower:.6f}, {b.upper:.6f}]")
 
@@ -50,10 +48,10 @@ print(f"\nunion n=6: estimate {r.mean:.6f} (se {r.std_error:.1e}) "
 # two-circle lens areas replace intervals and overlaps.
 spec = TubeSpec(n=4, d=2, epsilon=0.1, B=1.0, field="complex")
 r = estimate_density(spec, SAMPLES, seed=3, mode="conditional")
-b = bounds_complex(4, 2, 0.1, 1.0)
+b = density_bounds(spec)
 print(f"complex (4,2): estimate {r.mean:.6f} bracket [{b.lower:.6f}, {b.upper:.6f}]")
 print(f"hypersurface comparison bound at n=6: {cheng_bound(6, 0.1, 1.0):.4f} "
-      f"(ours: {bounds_real_union(6, 0.1, 1.0).upper:.4f})")
+      f"(ours: {density_bounds(TubeSpec(n=6, d=None, epsilon=0.1, B=1.0)).upper:.4f})")
 
 # Calibration: on a linear subspace model the conditional estimator is exact.
 r = estimate_subspace_density(5, 2, 0.1, 1.0, 10_000, seed=4, mode="conditional")

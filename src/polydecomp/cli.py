@@ -74,38 +74,36 @@ def _decomposition_row(d: int, dec) -> dict:
     return {"d": d, "g": format_polynomial(dec.g), "h": format_polynomial(dec.h)}
 
 
+def _require_composite(n: int) -> None:
+    if not is_composite(n):
+        raise DomainError(
+            f"degree {n} has no proper divisors; nothing of prime degree decomposes"
+        )
+
+
 def _cmd_decompose(args) -> int:
     f = _parse_monic_original(args.f, args.field)
     n = f.degree
+    _require_composite(n)
     if args.d is not None:
-        if args.d in (1, n) or n % args.d != 0:
-            raise UsageError(f"{args.d} is not a proper divisor of {n}")
-        dec = try_decompose(f, args.d)
+        try:
+            dec = try_decompose(f, args.d)
+        except DivisorError as exc:
+            raise UsageError(str(exc)) from None
         rows = [] if dec is None else [_decomposition_row(args.d, dec)]
         _emit(json.dumps(rows), args.out)
         if dec is None:
             print(f"no decomposition of degree-{n} input at d={args.d}", file=sys.stderr)
             return EXIT_DOMAIN
         return EXIT_OK
-    if not is_composite(n):
-        raise DomainError(
-            f"degree {n} has no proper divisors; nothing of prime degree decomposes"
-        )
     rows = [_decomposition_row(d, dec) for d, dec in is_decomposable(f)]
     _emit(json.dumps(rows), args.out)
     return EXIT_OK
 
 
-def _parse_float_list(text: str, flag: str) -> list[float]:
+def _parse_list(text: str, flag: str, kind) -> list:
     try:
-        return [float(part) for part in text.split(",")]
-    except ValueError:
-        raise UsageError(f"cannot parse {flag} value {text!r}") from None
-
-
-def _parse_int_list(text: str, flag: str) -> list[int]:
-    try:
-        return [int(part) for part in text.split(",")]
+        return [kind(part) for part in text.split(",")]
     except ValueError:
         raise UsageError(f"cannot parse {flag} value {text!r}") from None
 
@@ -117,10 +115,11 @@ def _cmd_estimate(args) -> int:
     if args.union:
         divisors: list[int | None] = [None]
     elif args.d is not None:
-        divisors = list(_parse_int_list(args.d, "--d"))
+        divisors = _parse_list(args.d, "--d", int)
     else:
         raise UsageError("estimate needs --d or --union")
-    eps_values = _parse_float_list(args.eps, "--eps")
+    eps_values = _parse_list(args.eps, "--eps", float)
+    _require_composite(args.n)
     rows = []
     for d in divisors:
         for eps in eps_values:
@@ -129,7 +128,7 @@ def _cmd_estimate(args) -> int:
                 result = estimate_density(
                     spec, args.samples, seed=args.seed, mode=args.mode
                 )
-            except (ValueError, DivisorError) as exc:
+            except ValueError as exc:
                 raise UsageError(str(exc)) from None
             rows.append(density_report(spec, result))
     if args.format == "csv":

@@ -22,10 +22,8 @@ from .polynomial import (
     Polynomial,
     compose,
     require_monic_original,
-    reverse,
     series_dth_root,
     taylor_coefficients,
-    truncate,
 )
 
 DEFAULT_TOL = 1e-9
@@ -56,7 +54,7 @@ def is_composite(n: int) -> bool:
 def _require_proper_divisor(n: int, d: int) -> None:
     if not is_composite(n):
         raise DivisorError(f"degree {n} is not composite")
-    if d in (1, n) or n % d != 0:
+    if not 1 < d < n or n % d != 0:
         raise DivisorError(f"{d} is not a proper divisor of {n}")
 
 
@@ -140,6 +138,14 @@ def divisor_plan(n: int) -> DivisorPlan:
     )
 
 
+def _right_from_top(top: list, d: int) -> Polynomial:
+    """h of degree e = len(top) + 1 from the top coefficients f_{n-1}, ...,
+    f_{n-e+1}: the reverse of the d-th root mod x^e of 1 + f_{n-1} x + ..."""
+    e = len(top) + 1
+    tilde_h = series_dth_root(Polynomial([1, *top]), d, e)
+    return Polynomial([0, *(tilde_h[e - j] for j in range(1, e)), 1])
+
+
 def right_component(f: Polynomial, d: int) -> Polynomial:
     """The unique candidate right component h of degree e = n/d.
 
@@ -149,18 +155,7 @@ def right_component(f: Polynomial, d: int) -> Polynomial:
     require_monic_original(f)
     n = f.degree
     _require_proper_divisor(n, d)
-    e = n // d
-    tilde_f = truncate(reverse(f), e)
-    tilde_h = series_dth_root(tilde_f, d, e)
-    coeffs = [0] * (e + 1)
-    coeffs[e] = 1
-    for j in range(1, e):
-        coeffs[j] = tilde_h[e - j]
-    return Polynomial(coeffs)
-
-
-def _float_norm(f: Polynomial) -> float:
-    return max((abs(c) for c in f.coeffs), default=0.0)
+    return _right_from_top([f[n - j] for j in range(1, n // d)], d)
 
 
 def try_decompose(f: Polynomial, d: int, tol: float = DEFAULT_TOL) -> Decomposition | None:
@@ -169,14 +164,13 @@ def try_decompose(f: Polynomial, d: int, tol: float = DEFAULT_TOL) -> Decomposit
     Over floats a Taylor coefficient counts as constant when all its
     non-constant coefficients are below tol * max(1, |f|_inf).
     """
-    require_monic_original(f)
     h = right_component(f, d)
     gs = taylor_coefficients(f, h, d)
     if f.is_exact():
         if any(gi.degree > 0 for gi in gs):
             return None
     else:
-        thr = tol * max(1.0, _float_norm(f))
+        thr = tol * max(1.0, *map(abs, f.coeffs))
         for gi in gs:
             if any(abs(c) >= thr for c in gi.coeffs[1:]):
                 return None
@@ -216,15 +210,8 @@ def section_components(b: Mapping[int, object], n: int, d: int) -> tuple[Polynom
     the coefficient of x^(e*i) in the running residual b_{e*i} - sum of the
     already-known g_j h^j terms.
     """
-    ns = nt_set(n, d)
-    e = ns.e
-    series = [1] + [b[n - j] for j in range(1, e)]
-    tilde_h = series_dth_root(Polynomial(series), d, e)
-    h_coeffs = [0] * (e + 1)
-    h_coeffs[e] = 1
-    for j in range(1, e):
-        h_coeffs[j] = tilde_h[e - j]
-    h = Polynomial(h_coeffs)
+    e = nt_set(n, d).e
+    h = _right_from_top([b[n - j] for j in range(1, e)], d)
 
     powers = {1: h}
     for j in range(2, d + 1):

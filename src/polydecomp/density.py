@@ -42,6 +42,7 @@ class TubeSpec:
 
     ``d = None`` targets the union of the tubes around the two largest
     components (divisors l and n/l for the least prime factor l).
+    Construction validates every field, so functions taking a spec do not.
     """
 
     n: int
@@ -100,42 +101,21 @@ class EstimateResult:
     mode: str
 
 
-def _check_radii(epsilon: float, B: float) -> None:
-    if not (0 < epsilon < B):
-        raise ValueError("need 0 < epsilon < B")
+def density_bounds(spec: TubeSpec) -> DensityBounds:
+    """The closed-form bracket of ``spec``'s tube density.
 
-
-def _bounds(n: int, d: int, epsilon: float, B: float, scale: int, power: int) -> DensityBounds:
-    _check_radii(epsilon, B)
-    ns = nt_set(n, d)
-    dim = d + n // d - 2
-    r = epsilon / B
-    raw = scale * r ** (power * ns.codim)
+    For one divisor d over the reals, with r = eps/B: lower
+    r^codim (1 - r)^dim, upper r^codim.  The union target takes the bracket
+    at d = least prime scaled by delta (1 if n = l^2, else 2), one term per
+    component; complex coefficients double both exponents.
+    """
+    ns = nt_set(spec.n, spec.divisors[0])
+    dim = ns.d + ns.e - 2
+    power = 1 if spec.field == "real" else 2
+    r = spec.epsilon / spec.B
+    raw = len(spec.divisors) * r ** (power * ns.codim)
     lower = raw * (1 - r) ** (power * dim)
     return DensityBounds(lower=min(lower, 1.0), upper=min(raw, 1.0), upper_raw=raw)
-
-
-def bounds_real(n: int, d: int, epsilon: float, B: float) -> DensityBounds:
-    """(eps/B)^codim bracket for one divisor over the reals:
-    lower (eps/B)^codim (1 - eps/B)^dim, upper (eps/B)^codim."""
-    return _bounds(n, d, epsilon, B, scale=1, power=1)
-
-
-def bounds_real_union(n: int, epsilon: float, B: float) -> DensityBounds:
-    """Real bracket for the union of the two largest components: the single
-    bracket at d = least prime, scaled by delta (1 if n = l^2, else 2)."""
-    plan = divisor_plan(n)
-    return _bounds(n, plan.least_prime, epsilon, B, scale=plan.delta, power=1)
-
-
-def bounds_complex(n: int, d: int, epsilon: float, B: float) -> DensityBounds:
-    """Complex bracket: real-case exponents doubled."""
-    return _bounds(n, d, epsilon, B, scale=1, power=2)
-
-
-def bounds_complex_union(n: int, epsilon: float, B: float) -> DensityBounds:
-    plan = divisor_plan(n)
-    return _bounds(n, plan.least_prime, epsilon, B, scale=plan.delta, power=2)
 
 
 def cheng_bound(n: int, epsilon: float, B: float) -> float:
@@ -298,14 +278,12 @@ def _estimate(models, field, epsilon, B, samples, seed, mode, threads) -> Estima
     if mode not in ("plain", "conditional"):
         raise ValueError(f"unknown mode {mode!r}")
     ambient = models[0].ambient
+    sample = _sample_box if field == "real" else _sample_disk
 
     if mode == "plain":
 
         def worker(rng, size):
-            if field == "real":
-                a = _sample_box(rng, (size, ambient), B)
-            else:
-                a = _sample_disk(rng, (size, ambient), B)
+            a = sample(rng, (size, ambient), B)
             member = np.zeros(size, dtype=bool)
             for model in models:
                 pred = model.predict(a[:, model.free_cols])
@@ -315,23 +293,18 @@ def _estimate(models, field, epsilon, B, samples, seed, mode, threads) -> Estima
             return float(x.sum()), float(x.sum())  # x * x == x for indicators
 
     else:
-        if len(models) != 1:
-            raise ValueError("conditional mode supports a single divisor only")
         model = models[0]
         nfree = len(model.free_cols)
 
         def worker(rng, size):
+            pred = model.predict(sample(rng, (size, nfree), B))
             if field == "real":
-                b = _sample_box(rng, (size, nfree), B)
-                pred = model.predict(b)
                 # overlap of (pred-eps, pred+eps) with (-B, B), written so the
                 # unclipped case is exactly 2*eps
                 over_hi = np.maximum(pred + epsilon - B, 0.0)
                 over_lo = np.maximum(-(pred - epsilon) - B, 0.0)
                 w = np.clip(2.0 * epsilon - over_hi - over_lo, 0.0, None) / (2.0 * B)
             else:
-                b = _sample_disk(rng, (size, nfree), B)
-                pred = model.predict(b)
                 w = disk_overlap_area(np.abs(pred), epsilon, B) / (math.pi * B * B)
             x = w.prod(axis=1)
             return float(x.sum()), float((x * x).sum())
@@ -380,7 +353,10 @@ def estimate_subspace_density(
     Calibration aid: the exact density is (eps/B)^(n-k) over the reals, and
     in conditional mode every sample contributes that value identically.
     """
-    _check_radii(epsilon, B)
+    if not (0 < epsilon < B):
+        raise ValueError("need 0 < epsilon < B")
+    if field not in ("real", "complex"):
+        raise ValueError(f"unknown field {field!r}")
     return _estimate([_SubspaceModel(n, k)], field, epsilon, B, samples, seed, mode, threads)
 
 
@@ -405,18 +381,7 @@ REPORT_COLUMNS = (
 
 def density_report(spec: TubeSpec, result: EstimateResult) -> dict:
     """Result row combining the estimate with its closed-form bracket."""
-    if spec.field == "real":
-        br = (
-            bounds_real_union(spec.n, spec.epsilon, spec.B)
-            if spec.is_union
-            else bounds_real(spec.n, spec.d, spec.epsilon, spec.B)
-        )
-    else:
-        br = (
-            bounds_complex_union(spec.n, spec.epsilon, spec.B)
-            if spec.is_union
-            else bounds_complex(spec.n, spec.d, spec.epsilon, spec.B)
-        )
+    br = density_bounds(spec)
     return {
         "n": spec.n,
         "d": spec.target,

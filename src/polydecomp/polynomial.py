@@ -21,9 +21,6 @@ from typing import Iterable, Sequence
 
 EXACT_TYPES = (int, Fraction)
 
-# Schoolbook multiplication below this operand size, Karatsuba above.
-KARATSUBA_CUTOFF = 32
-
 
 class NonInvertibleSeriesError(ValueError):
     """Series inversion was asked of a series with zero constant term."""
@@ -38,10 +35,6 @@ def _div(a, b):
     if isinstance(a, EXACT_TYPES) and isinstance(b, EXACT_TYPES):
         return Fraction(a) / Fraction(b)
     return a / b
-
-
-def is_exact_scalar(c) -> bool:
-    return isinstance(c, EXACT_TYPES)
 
 
 class Polynomial:
@@ -132,9 +125,7 @@ class Polynomial:
         a, b = self.coeffs, other.coeffs
         if not a or not b:
             return Polynomial()
-        if min(len(a), len(b)) <= KARATSUBA_CUTOFF:
-            return Polynomial(_mul_school(a, b))
-        return Polynomial(_mul_karatsuba(a, b))
+        return Polynomial(_mul_school(a, b))
 
     def __rmul__(self, other):
         return Polynomial([other * c for c in self.coeffs])
@@ -174,12 +165,6 @@ class Polynomial:
             for j in range(dd):
                 num[i - dd + j] -= c * den[j]
         return Polynomial(q), Polynomial(num[:dd])
-
-    def __floordiv__(self, other):
-        return divmod(self, other)[0]
-
-    def __mod__(self, other):
-        return divmod(self, other)[1]
 
     # -- evaluation --------------------------------------------------------
 
@@ -223,9 +208,6 @@ def x_power(k: int, coeff=1) -> Polynomial:
     return Polynomial([0] * k + [coeff])
 
 
-X = x_power(1)
-
-
 def _mul_school(a: Sequence, b: Sequence) -> list:
     out = [0] * (len(a) + len(b) - 1)
     for i, ai in enumerate(a):
@@ -233,38 +215,6 @@ def _mul_school(a: Sequence, b: Sequence) -> list:
             continue
         for j, bj in enumerate(b):
             out[i + j] += ai * bj
-    return out
-
-
-def _mul_karatsuba(a: Sequence, b: Sequence) -> list:
-    n = max(len(a), len(b))
-    if min(len(a), len(b)) <= KARATSUBA_CUTOFF:
-        return _mul_school(a, b)
-    m = n // 2
-    a0, a1 = a[:m], a[m:]
-    b0, b1 = b[:m], b[m:]
-    z0 = _mul_karatsuba(a0, b0) if a0 and b0 else []
-    z2 = _mul_karatsuba(a1, b1) if a1 and b1 else []
-    s0 = _list_add(a0, a1)
-    s1 = _list_add(b0, b1)
-    z1 = _mul_karatsuba(s0, s1) if s0 and s1 else []
-    z1 = _list_sub(_list_sub(z1, z0), z2)
-    out = [0] * (len(a) + len(b) - 1)
-    for i, c in enumerate(z0):
-        out[i] += c
-    for i, c in enumerate(z1):
-        out[i + m] += c
-    for i, c in enumerate(z2):
-        out[i + 2 * m] += c
-    return out
-
-
-def _list_add(a: Sequence, b: Sequence) -> list:
-    if len(a) < len(b):
-        a, b = b, a
-    out = list(a)
-    for i, c in enumerate(b):
-        out[i] += c
     return out
 
 

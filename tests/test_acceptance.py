@@ -26,11 +26,8 @@ from polydecomp.decompose import (
 )
 from polydecomp.density import (
     TubeSpec,
-    bounds_complex,
-    bounds_complex_union,
-    bounds_real,
-    bounds_real_union,
     cheng_bound,
+    density_bounds,
     disk_overlap_area,
     estimate_density,
     estimate_subspace_density,
@@ -113,7 +110,7 @@ def test_criterion_3_real_density_sandwich():
         t0 = time.perf_counter()
         spec = TubeSpec(n=n, d=d, epsilon=0.1, B=1.0)
         r = estimate_density(spec, 1_000_000, seed=300 + n * 10 + d, mode="conditional")
-        b = bounds_real(n, d, 0.1, 1.0)
+        b = density_bounds(spec)
         lo = b.lower - 3 * r.std_error - FP_GUARD
         hi = b.upper + 3 * r.std_error + FP_GUARD
         ok = lo <= r.mean <= hi and r.std_error < 0.001
@@ -132,7 +129,7 @@ def test_criterion_4_union_density():
     t0 = time.perf_counter()
     spec = TubeSpec(n=6, d=None, epsilon=0.1, B=1.0)
     r = estimate_density(spec, 10_000_000, seed=4000, mode="plain")
-    b = bounds_real_union(6, 0.1, 1.0)
+    b = density_bounds(spec)
     lo = b.lower - 3 * r.std_error - FP_GUARD
     hi = b.upper + 3 * r.std_error + FP_GUARD
     ok = lo <= r.mean <= hi
@@ -150,7 +147,7 @@ def test_criterion_5_complex_density_sandwich():
     t0 = time.perf_counter()
     spec = TubeSpec(n=4, d=2, epsilon=0.1, B=1.0, field="complex")
     r = estimate_density(spec, 1_000_000, seed=5000, mode="conditional")
-    b = bounds_complex(4, 2, 0.1, 1.0)
+    b = density_bounds(spec)
     lo = b.lower - 3 * r.std_error - FP_GUARD
     hi = b.upper + 3 * r.std_error + FP_GUARD
     ok = lo <= r.mean <= hi
@@ -222,7 +219,7 @@ def test_criterion_8_bound_comparison():
     for n in range(4, 21):
         if not is_composite(n):
             continue
-        ours = bounds_complex_union(n, 0.1, 1.0).upper
+        ours = density_bounds(TubeSpec(n=n, d=None, epsilon=0.1, B=1.0, field="complex")).upper
         theirs = cheng_bound(n, 0.1, 1.0)
         if not ours <= theirs:
             ok = False

@@ -53,6 +53,11 @@ class TestDecompose:
         assert code == 3
         assert "prime" in err
 
+    def test_prime_degree_with_divisor(self, capsys):
+        code, out, err = run(capsys, "decompose", "1,0,0,0,1,0", "--d", "2")
+        assert code == 3
+        assert not out and "prime" in err
+
     def test_pure_power_two_entries(self, capsys):
         code, out, _ = run(capsys, "decompose", "1,0,0,0,0,0,0")
         assert code == 0
@@ -79,6 +84,12 @@ class TestDecompose:
     def test_bad_divisor(self, capsys):
         code, _, _ = run(capsys, "decompose", "1,4,5,2,0", "--d", "3")
         assert code == 2
+
+    @pytest.mark.parametrize("d", ["4", "1", "0", "-2"])
+    def test_non_proper_divisor_rejected(self, capsys, d):
+        code, out, err = run(capsys, "decompose", "1,4,5,2,0", "--d", d)
+        assert code == 2
+        assert not out and "proper divisor" in err
 
 
 class TestRoundtrip:
@@ -156,6 +167,18 @@ class TestEstimate:
         )
         assert code == 2
         assert not out and "seed" in err
+
+    @pytest.mark.parametrize("target", [["--d", "2"], ["--union"]])
+    def test_prime_degree_is_domain_error(self, capsys, target):
+        code, out, err = run(capsys, "estimate", "--n", "7", *target, "--eps", "0.1")
+        assert code == 3
+        assert not out and "prime" in err
+
+    @pytest.mark.parametrize("d", ["4", "0", "-2", "2,x"])
+    def test_bad_divisor_rejected(self, capsys, d):
+        code, out, err = run(capsys, "estimate", "--n", "6", "--d", d, "--eps", "0.1")
+        assert code == 2
+        assert not out and err
 
     def test_rational_field_rejected(self, capsys):
         code, _, _ = run(

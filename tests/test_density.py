@@ -9,11 +9,8 @@ from polydecomp.batched import section_batch
 from polydecomp.decompose import is_composite, divisor_plan, nt_set
 from polydecomp.density import (
     TubeSpec,
-    bounds_complex,
-    bounds_complex_union,
-    bounds_real,
-    bounds_real_union,
     cheng_bound,
+    density_bounds,
     density_report,
     disk_overlap_area,
     estimate_density,
@@ -34,55 +31,59 @@ def coeff_vector(f, n):
     return [float(f[i]) for i in range(1, n)]
 
 
+def bounds(n, d, epsilon, B, field="real"):
+    return density_bounds(TubeSpec(n=n, d=d, epsilon=epsilon, B=B, field=field))
+
+
 class TestBounds:
     def test_real_4_2(self):
-        b = bounds_real(4, 2, 0.1, 1.0)
+        b = bounds(4, 2, 0.1, 1.0)
         assert math.isclose(b.lower, 0.081)
         assert math.isclose(b.upper, 0.1)
 
     def test_real_6_2(self):
-        b = bounds_real(6, 2, 0.1, 1.0)
+        b = bounds(6, 2, 0.1, 1.0)
         assert math.isclose(b.lower, 0.01 * 0.9**3)
         assert math.isclose(b.upper, 0.01)
 
     def test_real_small_epsilon_limit(self):
         # codim is 3 at (8,2): both bounds collapse to (eps/B)^3 -> 0
-        b = bounds_real(8, 2, 1e-9, 1.0)
+        b = bounds(8, 2, 1e-9, 1.0)
         assert b.upper == pytest.approx(1e-27)
         assert b.lower == pytest.approx(1e-27, rel=1e-6)
 
     def test_real_union_6(self):
-        b = bounds_real_union(6, 0.1, 1.0)
+        b = bounds(6, None, 0.1, 1.0)
         assert math.isclose(b.lower, 2 * 0.00729)
         assert math.isclose(b.upper, 0.02)
 
     def test_real_union_4_delta_one(self):
-        b = bounds_real_union(4, 0.1, 1.0)
+        b = bounds(4, None, 0.1, 1.0)
         assert math.isclose(b.lower, 0.081)
         assert math.isclose(b.upper, 0.1)
 
     def test_lower_vanishes_as_eps_to_B(self):
-        b = bounds_real_union(6, 0.999999, 1.0)
+        b = bounds(6, None, 0.999999, 1.0)
         assert b.lower < 1e-17
 
     def test_complex_4_2(self):
-        b = bounds_complex(4, 2, 0.1, 1.0)
+        b = bounds(4, 2, 0.1, 1.0, "complex")
         assert math.isclose(b.lower, 0.01 * 0.9**4)
         assert math.isclose(b.upper, 0.01)
 
     def test_complex_upper_is_square_of_real(self):
         for n, d in [(4, 2), (6, 2), (9, 3), (12, 4)]:
-            br = bounds_real(n, d, 0.07, 1.3)
-            bc = bounds_complex(n, d, 0.07, 1.3)
+            br = bounds(n, d, 0.07, 1.3)
+            bc = bounds(n, d, 0.07, 1.3, "complex")
             assert math.isclose(bc.upper, br.upper**2)
 
     def test_complex_union_6(self):
-        b = bounds_complex_union(6, 0.1, 1.0)
+        b = bounds(6, None, 0.1, 1.0, "complex")
         assert math.isclose(b.lower, 2 * 0.1**4 * 0.9**6)
         assert math.isclose(b.upper, 2 * 0.1**4)
 
     def test_capping(self):
-        b = bounds_real_union(6, 0.9, 1.0)
+        b = bounds(6, None, 0.9, 1.0)
         assert b.upper == 1.0
         assert b.upper_raw == pytest.approx(2 * 0.81)
         assert b.capped
@@ -93,15 +94,65 @@ class TestBounds:
             if not is_composite(n):
                 continue
             plan = divisor_plan(n)
-            u = bounds_real_union(n, 0.05, 1.0)
-            s = bounds_real(n, plan.least_prime, 0.05, 1.0)
+            u = bounds(n, None, 0.05, 1.0)
+            s = bounds(n, plan.least_prime, 0.05, 1.0)
             assert math.isclose(u.upper_raw, plan.delta * s.upper_raw)
 
     def test_invalid_radii(self):
         with pytest.raises(ValueError):
-            bounds_real(4, 2, 1.0, 1.0)
+            bounds(4, 2, 1.0, 1.0)
         with pytest.raises(ValueError):
-            bounds_real(4, 2, -0.1, 1.0)
+            bounds(4, 2, -0.1, 1.0)
+
+
+def least_prime_by_trial_division(n):
+    p = 2
+    while n % p:
+        p += 1
+    return p
+
+
+def closed_form_bracket(n, d, epsilon, B, field):
+    """(lower, upper_raw) from codim = n - d - n/d + 1 and dim = d + n/d - 2;
+    the union is the bracket at the least prime l times delta (1 if n = l^2,
+    else 2)."""
+    delta = 1
+    if d is None:
+        d = least_prime_by_trial_division(n)
+        delta = 1 if d * d == n else 2
+    power = 1 if field == "real" else 2
+    r = epsilon / B
+    upper_raw = delta * r ** (power * (n - d - n // d + 1))
+    return upper_raw * (1 - r) ** (power * (d + n // d - 2)), upper_raw
+
+
+class TestBoundsOracle:
+    def test_every_composite_degree_to_30(self):
+        checked = 0
+        for n in range(4, 31):
+            if least_prime_by_trial_division(n) == n:
+                continue
+            targets = [d for d in range(2, n) if n % d == 0] + [None]
+            for d in targets:
+                for epsilon, B in ((0.1, 1.0), (0.07, 1.3)):
+                    for field in ("real", "complex"):
+                        b = bounds(n, d, epsilon, B, field)
+                        lower, upper_raw = closed_form_bracket(n, d, epsilon, B, field)
+                        case = (n, d, epsilon, B, field)
+                        assert math.isclose(b.upper_raw, upper_raw, rel_tol=1e-12), case
+                        assert math.isclose(b.upper, min(upper_raw, 1.0), rel_tol=1e-12), case
+                        assert math.isclose(b.lower, min(lower, 1.0), rel_tol=1e-12), case
+                        assert not b.capped, case
+                        checked += 1
+        # 19 composite degrees: 52 proper divisors plus 19 unions, 4 settings each
+        assert checked == 4 * (52 + 19)
+
+    def test_capped_near_B(self):
+        b = bounds(6, None, 0.999999, 1.0)
+        lower, upper_raw = closed_form_bracket(6, None, 0.999999, 1.0, "real")
+        assert math.isclose(b.upper_raw, upper_raw, rel_tol=1e-12)
+        assert b.upper_raw > 1.0 and b.capped and b.upper == 1.0
+        assert math.isclose(b.lower, lower, rel_tol=1e-12)
 
 
 class TestChengBound:
@@ -112,8 +163,8 @@ class TestChengBound:
         assert cheng_bound(8, 0.0, 1.0) == 0.0
 
     def test_sharper_than_hypersurface(self):
-        assert bounds_complex_union(6, 0.1, 1.0).upper == pytest.approx(0.0002)
-        assert bounds_complex_union(6, 0.1, 1.0).upper < cheng_bound(6, 0.1, 1.0)
+        assert bounds(6, None, 0.1, 1.0, "complex").upper == pytest.approx(0.0002)
+        assert bounds(6, None, 0.1, 1.0, "complex").upper < cheng_bound(6, 0.1, 1.0)
 
 
 class TestLensArea:
@@ -218,7 +269,7 @@ class TestEstimators:
             for eps in (0.05, 0.1, 0.2):
                 spec = TubeSpec(n=n, d=d, epsilon=eps, B=1.0)
                 r = estimate_density(spec, 1_000_000, seed=1000 * n + d, mode="conditional")
-                b = bounds_real(n, d, eps, 1.0)
+                b = density_bounds(spec)
                 lo = b.lower - 3 * r.std_error - FP_GUARD
                 hi = b.upper + 3 * r.std_error + FP_GUARD
                 assert lo <= r.mean <= hi, (n, d, eps, r.mean, b)
@@ -226,7 +277,7 @@ class TestEstimators:
     def test_union_plain_bracket(self):
         spec = TubeSpec(n=6, d=None, epsilon=0.1, B=1.0)
         r = estimate_density(spec, 400_000, seed=5, mode="plain")
-        b = bounds_real_union(6, 0.1, 1.0)
+        b = density_bounds(spec)
         assert b.lower - 3 * r.std_error <= r.mean <= b.upper + 3 * r.std_error
 
     def test_mode_agreement(self):
@@ -251,7 +302,7 @@ class TestEstimators:
     def test_complex_conditional_bracket(self):
         spec = TubeSpec(n=4, d=2, epsilon=0.1, B=1.0, field="complex")
         r = estimate_density(spec, 200_000, seed=41, mode="conditional")
-        b = bounds_complex(4, 2, 0.1, 1.0)
+        b = density_bounds(spec)
         lo = b.lower - 3 * r.std_error - FP_GUARD
         hi = b.upper + 3 * r.std_error + FP_GUARD
         assert lo <= r.mean <= hi
@@ -259,7 +310,7 @@ class TestEstimators:
     def test_complex_plain_bracket(self):
         spec = TubeSpec(n=4, d=2, epsilon=0.2, B=1.0, field="complex")
         r = estimate_density(spec, 400_000, seed=43, mode="plain")
-        b = bounds_complex(4, 2, 0.2, 1.0)
+        b = density_bounds(spec)
         assert b.lower - 3 * r.std_error <= r.mean <= b.upper + 3 * r.std_error
 
     def test_result_invariants(self):
@@ -293,6 +344,15 @@ class TestEstimators:
         spec = TubeSpec(n=6, d=2, epsilon=0.1, B=1.0)
         with pytest.raises(ValueError):
             estimate_density(spec, 0)
+
+    @pytest.mark.parametrize(
+        "kwargs", [dict(epsilon=0.1, B=0.1), dict(epsilon=0.0, B=1.0), dict(field="padic")]
+    )
+    def test_subspace_bad_input_rejected(self, kwargs):
+        # an unknown field used to be sampled as the complex polydisk
+        args = dict(n=5, k=2, epsilon=0.1, B=1.0, samples=100) | kwargs
+        with pytest.raises(ValueError):
+            estimate_subspace_density(**args)
 
     @pytest.mark.parametrize("seed", [-1, 2**64, 2**64 + 5, 1.5])
     def test_seed_outside_64_bits_rejected(self, seed):
@@ -328,7 +388,7 @@ class TestAgainstQuadrature:
         quadrature = w.mean()
         r = estimate_density(TubeSpec(n=n, d=d, epsilon=eps, B=B), 400_000, seed=61, mode="conditional")
         assert abs(quadrature - r.mean) < 1e-4
-        b = bounds_real(n, d, eps, B)
+        b = bounds(n, d, eps, B)
         assert b.lower <= quadrature <= b.upper + FP_GUARD
 
     def test_plain_membership_matches_scalar_oracle(self):

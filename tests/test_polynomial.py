@@ -4,7 +4,6 @@ from fractions import Fraction
 import pytest
 
 from polydecomp.polynomial import (
-    KARATSUBA_CUTOFF,
     NonInvertibleSeriesError,
     Polynomial,
     SeriesNormalizationError,
@@ -87,10 +86,10 @@ class TestRingOps:
             assert Polynomial(a) * Polynomial(b) == Polynomial(ref_mul(a, b))
 
     def test_karatsuba_path_matches_reference(self):
+        # large operands: 96 x 113 coefficients, far past the sizes above
         rng = random.Random(11)
-        n = 3 * KARATSUBA_CUTOFF
-        a = [Fraction(rng.randint(-9, 9)) for _ in range(n)]
-        b = [Fraction(rng.randint(-9, 9)) for _ in range(n + 17)]
+        a = [Fraction(rng.randint(-9, 9)) for _ in range(96)]
+        b = [Fraction(rng.randint(-9, 9)) for _ in range(113)]
         assert Polynomial(a) * Polynomial(b) == Polynomial(ref_mul(a, b))
 
     def test_pow(self):
