@@ -56,8 +56,8 @@ def section_batch(nt_coords: np.ndarray, n: int, d: int) -> np.ndarray:
     ns = nt_set(n, d)
     e = ns.e
     nt_coords = np.asarray(nt_coords)
-    if nt_coords.shape[1] != len(ns.nt):
-        raise ValueError(f"expected {len(ns.nt)} coordinate columns")
+    if nt_coords.ndim != 2 or nt_coords.shape[1] != len(ns.nt):
+        raise ValueError(f"expected a 2-D array of {len(ns.nt)} coordinate columns")
     dtype = np.result_type(nt_coords, np.float64)
     coords = np.ascontiguousarray(nt_coords.T, dtype=dtype)
     one = np.ones((1, coords.shape[1]), dtype=dtype)

@@ -19,7 +19,7 @@ import sys
 
 from .collisions import CollisionParameterError, CollisionParams, alpha_exp, alpha_trig
 from .decompose import DivisorError, is_composite, is_decomposable, try_decompose
-from .density import REPORT_COLUMNS, TubeSpec, density_report, estimate_density
+from .density import TubeSpec, density_report, estimate_density
 from .polynomial import (
     FIELDS,
     Polynomial,
@@ -109,8 +109,6 @@ def _parse_list(text: str, flag: str, kind) -> list:
 
 
 def _cmd_estimate(args) -> int:
-    if args.field not in ESTIMATE_FIELDS:
-        raise UsageError("estimation needs --field real64 or complex64")
     field = ESTIMATE_FIELDS[args.field]
     if args.union:
         divisors: list[int | None] = [None]
@@ -133,7 +131,7 @@ def _cmd_estimate(args) -> int:
             rows.append(density_report(spec, result))
     if args.format == "csv":
         buf = io.StringIO()
-        writer = csv.DictWriter(buf, fieldnames=REPORT_COLUMNS, lineterminator="\n")
+        writer = csv.DictWriter(buf, fieldnames=list(rows[0]), lineterminator="\n")
         writer.writeheader()
         writer.writerows(rows)
         _emit(buf.getvalue().rstrip("\n"), args.out)
@@ -142,11 +140,10 @@ def _cmd_estimate(args) -> int:
     return EXIT_OK
 
 
-def _collision_params(payload: dict, field: str) -> tuple[CollisionParams, str, int, int]:
+def _collision_params(payload: dict, field: str) -> tuple[CollisionParams, str]:
     try:
         variant = payload["variant"]
-        n = int(payload["n"])
-        d = int(payload["d"])
+        n, d = payload["n"], payload["d"]
         u = _parse_monic_original(str(payload["u"]), field)
         v = _parse_monic_original(str(payload["v"]), field)
         a = parse_scalar(str(payload.get("a", "0")), field)
@@ -156,21 +153,14 @@ def _collision_params(payload: dict, field: str) -> tuple[CollisionParams, str, 
         raise UsageError(str(exc)) from None
     if variant not in ("exp", "trig"):
         raise UsageError(f"unknown collision variant {variant!r}")
-    if d <= 0 or n % d != 0:
-        raise UsageError(f"{d} does not divide {n}")
-    e = n // d
     if variant == "exp":
         if not isinstance(payload.get("w"), list):
             raise UsageError("exponential variant needs w as a list of lower coefficients")
         lower = [parse_scalar(str(c), field) for c in payload["w"]]
         w = Polynomial(list(reversed(lower)) + [1])
-        params = CollisionParams(n=n, d=d, u=u, v=v, a=a, w=w)
-    else:
-        if "z" not in payload:
-            raise UsageError("trigonometric variant needs z")
-        z = parse_scalar(str(payload["z"]), field)
-        params = CollisionParams(n=n, d=d, u=u, v=v, a=a, z=z)
-    return params, variant, d, e
+        return CollisionParams(n=n, d=d, u=u, v=v, a=a, w=w), variant
+    z = parse_scalar(str(payload["z"]), field) if "z" in payload else None
+    return CollisionParams(n=n, d=d, u=u, v=v, a=a, z=z), variant
 
 
 def _cmd_collide(args) -> int:
@@ -178,11 +168,12 @@ def _cmd_collide(args) -> int:
         payload = json.loads(args.params)
     except json.JSONDecodeError as exc:
         raise UsageError(f"invalid JSON parameters: {exc}") from None
-    params, variant, d, e = _collision_params(payload, args.field)
+    params, variant = _collision_params(payload, args.field)
     try:
         f = alpha_exp(params) if variant == "exp" else alpha_trig(params)
     except CollisionParameterError as exc:
         raise UsageError(str(exc)) from None
+    d, e = params.d, params.e
     report = {
         "f": format_polynomial(f),
         "d": d,
@@ -225,7 +216,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--B", type=float, default=1.0)
     p.add_argument("--samples", type=int, default=100_000)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--field", choices=FIELDS, default="real64")
+    p.add_argument("--field", choices=tuple(ESTIMATE_FIELDS), default="real64")
     p.add_argument("--mode", choices=("plain", "conditional"), default="plain")
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument("--out")

@@ -11,10 +11,11 @@ original, and both factor through composition in two ways, which
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 from .decompose import try_decompose
-from .polynomial import Polynomial, compose, require_monic_original, x_power
+from .polynomial import Polynomial, compose, is_monic_original, require_monic_original, x_power
 
 
 class CollisionParameterError(ValueError):
@@ -52,12 +53,14 @@ class CollisionParams:
 
 
 def _validate_common(params: CollisionParams) -> None:
-    n, d, e = params.n, params.d, params.e
-    if d < 2 or e <= d or d * e != n:
+    n, d = params.n, params.d
+    if not (isinstance(n, numbers.Integral) and isinstance(d, numbers.Integral)):
+        raise CollisionParameterError(f"n and d must be integers, got n={n!r}, d={d!r}")
+    if d < 2 or n % d != 0 or params.e <= d:
         raise CollisionParameterError(f"need e > d >= 2 with d*e = n, got n={n}, d={d}")
     i = params.i
     for name, p in (("u", params.u), ("v", params.v)):
-        if p.degree != i or not (p.coeffs[-1] == 1 and p[0] == 0):
+        if p.degree != i or not is_monic_original(p):
             raise CollisionParameterError(f"{name} must be monic original of degree {i}")
 
 

@@ -82,14 +82,6 @@ class Decomposition:
     g: Polynomial
     h: Polynomial
 
-    @property
-    def d(self) -> int:
-        return self.g.degree
-
-    @property
-    def e(self) -> int:
-        return self.h.degree
-
 
 @dataclass(frozen=True)
 class DivisorPlan:

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .batched import section_batch
-from .decompose import divisor_plan, is_composite, nt_set, section
+from .decompose import dimension, divisor_plan, is_composite, nt_set, section
 
 _BLOCK_SIZE = 1 << 16
 
@@ -73,8 +73,8 @@ class TubeSpec:
     def divisors(self) -> tuple[int, ...]:
         if self.d is not None:
             return (self.d,)
-        l = divisor_plan(self.n).least_prime
-        return (l,) if l * l == self.n else (l, self.n // l)
+        plan = divisor_plan(self.n)
+        return (plan.least_prime, self.n // plan.least_prime)[: plan.delta]
 
 
 @dataclass(frozen=True)
@@ -110,7 +110,7 @@ def density_bounds(spec: TubeSpec) -> DensityBounds:
     component; complex coefficients double both exponents.
     """
     ns = nt_set(spec.n, spec.divisors[0])
-    dim = ns.d + ns.e - 2
+    dim = dimension(spec.n, ns.d)
     power = 1 if spec.field == "real" else 2
     r = spec.epsilon / spec.B
     raw = len(spec.divisors) * r ** (power * ns.codim)
@@ -271,8 +271,8 @@ def _sample_disk(rng, shape, B: float) -> np.ndarray:
 
 
 def _estimate(models, field, epsilon, B, samples, seed, mode, threads) -> EstimateResult:
-    if samples < 1:
-        raise ValueError("need at least one sample")
+    if not (isinstance(samples, numbers.Integral) and samples >= 1):
+        raise ValueError(f"samples must be an integer >= 1, got {samples!r}")
     if not (isinstance(seed, numbers.Integral) and 0 <= seed < 1 << 64):
         raise ValueError(f"seed must be an integer in [0, 2**64), got {seed!r}")
     if mode not in ("plain", "conditional"):
@@ -289,8 +289,8 @@ def _estimate(models, field, epsilon, B, samples, seed, mode, threads) -> Estima
                 pred = model.predict(a[:, model.free_cols])
                 inside = (np.abs(a[:, model.dep_cols] - pred) < epsilon).all(axis=1)
                 member |= inside
-            x = member.astype(np.float64)
-            return float(x.sum()), float(x.sum())  # x * x == x for indicators
+            hits = float(np.count_nonzero(member))
+            return hits, hits  # sums of x and of x * x, equal for indicators
 
     else:
         model = models[0]
@@ -361,23 +361,6 @@ def estimate_subspace_density(
 
 
 # -- reporting ------------------------------------------------------------------
-
-REPORT_COLUMNS = (
-    "n",
-    "d",
-    "field",
-    "epsilon",
-    "B",
-    "mode",
-    "samples",
-    "seed",
-    "mean",
-    "std_error",
-    "lower_bound",
-    "upper_bound",
-    "cheng_bound",
-)
-
 
 def density_report(spec: TubeSpec, result: EstimateResult) -> dict:
     """Result row combining the estimate with its closed-form bracket."""

@@ -123,24 +123,14 @@ class Polynomial:
         if not isinstance(other, Polynomial):
             return Polynomial([other * c for c in self.coeffs])
         a, b = self.coeffs, other.coeffs
-        if not a or not b:
-            return Polynomial()
-        return Polynomial(_mul_school(a, b))
+        return Polynomial(_trunc_mul(a, b, len(a) + len(b) - 1))
 
-    def __rmul__(self, other):
-        return Polynomial([other * c for c in self.coeffs])
+    __rmul__ = __mul__
 
     def __pow__(self, k: int):
         if k < 0:
             raise ValueError("negative power of a polynomial")
-        result = Polynomial([1])
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base if k > 1 else base
-            k >>= 1
-        return result
+        return Polynomial(_trunc_pow(list(self.coeffs), k, max(k * self.degree, 0) + 1))
 
     def __divmod__(self, other: "Polynomial"):
         """Quotient and remainder; divisor leading coefficient must be a unit."""
@@ -201,21 +191,11 @@ class Polynomial:
         return " + ".join(parts).replace("+ -", "- ")
 
 
-def x_power(k: int, coeff=1) -> Polynomial:
-    """The monomial coeff * x**k."""
+def x_power(k: int) -> Polynomial:
+    """The monomial x**k."""
     if k < 0:
         raise ValueError("negative exponent")
-    return Polynomial([0] * k + [coeff])
-
-
-def _mul_school(a: Sequence, b: Sequence) -> list:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai == 0:
-            continue
-        for j, bj in enumerate(b):
-            out[i + j] += ai * bj
-    return out
+    return Polynomial([0] * k + [1])
 
 
 def _list_sub(a: Sequence, b: Sequence) -> list:
@@ -230,13 +210,11 @@ def _trunc_mul(a: Sequence, b: Sequence, k: int) -> list:
     if not a or not b or k <= 0:
         return []
     out = [0] * min(k, len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if i >= k:
-            break
+    for i, ai in enumerate(a[:k]):
         if ai == 0:
             continue
-        for j in range(min(len(b), k - i)):
-            out[i + j] += ai * b[j]
+        for j, bj in enumerate(b[: k - i], i):
+            out[j] += ai * bj
     return out
 
 
@@ -336,7 +314,7 @@ def series_dth_root(p: Polynomial, d: int, k: int) -> Polynomial:
         denom_inv = series_inverse(Polynomial([d * c for c in qd1]), prec)
         corr = _trunc_mul(num, denom_inv.coeffs, prec)
         q = _list_sub(q, corr)[:prec]
-    return truncate(Polynomial(q), k)
+    return Polynomial(q)
 
 
 def taylor_coefficients(f: Polynomial, h: Polynomial, d: int) -> tuple:
@@ -409,13 +387,8 @@ def parse_polynomial(text: str, field: str = "rational") -> Polynomial:
     return Polynomial(reversed(coeffs))
 
 
-def format_polynomial(p: Polynomial, degree: int | None = None) -> str:
-    """Descending-power comma format, inverse of parse_polynomial.
-
-    ``degree`` pads with leading zeros when the intended degree exceeds the
-    structural one (never truncates).
-    """
-    n = p.degree if degree is None else max(degree, p.degree)
-    if n < 0:
+def format_polynomial(p: Polynomial) -> str:
+    """Descending-power comma format, inverse of parse_polynomial."""
+    if p.is_zero:
         return "0"
-    return ",".join(format_scalar(p[i]) for i in range(n, -1, -1))
+    return ",".join(format_scalar(c) for c in reversed(p.coeffs))

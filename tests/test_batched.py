@@ -174,6 +174,14 @@ class TestSectionBatch:
         for pos, i in enumerate(ns.nt):
             assert np.allclose(full[:, i - 1], rows[:, pos], atol=1e-12)
 
+    @pytest.mark.parametrize(
+        "coords", [[0.1, 0.2, 0.3], [[0.1, 0.2]], [[[0.1, 0.2, 0.3]]]], ids=["1-D", "2-cols", "3-D"]
+    )
+    def test_bad_input_shape_rejected(self, coords):
+        # (6, 2) takes three coordinate columns per row
+        with pytest.raises(ValueError, match="2-D"):
+            section_batch(np.array(coords), 6, 2)
+
     def test_complex_agrees_with_exact(self):
         # (12, 3) is the benchmark's complex shape; the oracle runs the
         # scalar section over Gaussian rationals

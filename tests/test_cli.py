@@ -181,11 +181,12 @@ class TestEstimate:
         assert not out and err
 
     def test_rational_field_rejected(self, capsys):
-        code, _, _ = run(
+        code, out, err = run(
             capsys, "estimate", "--n", "4", "--d", "2", "--eps", "0.1",
             "--field", "rational",
         )
         assert code == 2
+        assert not out and "invalid choice: 'rational'" in err
 
     def test_conditional_union_rejected(self, capsys):
         code, _, _ = run(
@@ -244,6 +245,19 @@ class TestCollide:
         code, _, err = run(capsys, "collide", params)
         assert code == 2
         assert "degenerate" in err
+
+    @pytest.mark.parametrize(
+        "n,d,message",
+        [(6.9, 2, "must be integers"), (6, 2.5, "must be integers"), (6, 0, "need e > d >= 2")],
+        ids=["n=6.9", "d=2.5", "d=0"],
+    )
+    def test_non_integer_or_zero_degree_rejected(self, capsys, n, d, message):
+        params = json.dumps(
+            {"variant": "trig", "n": n, "d": d, "u": "1,0", "v": "1,0", "a": "0", "z": "1"}
+        )
+        code, out, err = run(capsys, "collide", params)
+        assert code == 2
+        assert not out and message in err
 
     def test_invalid_json(self, capsys):
         code, _, _ = run(capsys, "collide", "{not json")

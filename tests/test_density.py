@@ -342,8 +342,11 @@ class TestEstimators:
 
     def test_bad_samples(self):
         spec = TubeSpec(n=6, d=2, epsilon=0.1, B=1.0)
-        with pytest.raises(ValueError):
-            estimate_density(spec, 0)
+        for samples in (0, -3, 1e4, 2.5):
+            with pytest.raises(ValueError, match="samples"):
+                estimate_density(spec, samples)
+            with pytest.raises(ValueError, match="samples"):
+                estimate_subspace_density(5, 2, 0.1, 1.0, samples)
 
     @pytest.mark.parametrize(
         "kwargs", [dict(epsilon=0.1, B=0.1), dict(epsilon=0.0, B=1.0), dict(field="padic")]
