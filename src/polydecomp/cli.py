@@ -140,27 +140,29 @@ def _cmd_estimate(args) -> int:
     return EXIT_OK
 
 
-def _collision_params(payload: dict, field: str) -> tuple[CollisionParams, str]:
+def _collision_params(payload: object, field: str) -> tuple[CollisionParams, str]:
+    if not isinstance(payload, dict):
+        raise UsageError("collision parameters must be a JSON object")
     try:
         variant = payload["variant"]
         n, d = payload["n"], payload["d"]
         u = _parse_monic_original(str(payload["u"]), field)
         v = _parse_monic_original(str(payload["v"]), field)
         a = parse_scalar(str(payload.get("a", "0")), field)
+        if variant not in ("exp", "trig"):
+            raise UsageError(f"unknown collision variant {variant!r}")
+        if variant == "exp":
+            if not isinstance(payload.get("w"), list):
+                raise UsageError("exponential variant needs w as a list of lower coefficients")
+            lower = [parse_scalar(str(c), field) for c in payload["w"]]
+            w = Polynomial(list(reversed(lower)) + [1])
+            return CollisionParams(n=n, d=d, u=u, v=v, a=a, w=w), variant
+        z = parse_scalar(str(payload["z"]), field) if "z" in payload else None
+        return CollisionParams(n=n, d=d, u=u, v=v, a=a, z=z), variant
     except KeyError as exc:
         raise UsageError(f"collision parameters missing {exc}") from None
     except ValueError as exc:
         raise UsageError(str(exc)) from None
-    if variant not in ("exp", "trig"):
-        raise UsageError(f"unknown collision variant {variant!r}")
-    if variant == "exp":
-        if not isinstance(payload.get("w"), list):
-            raise UsageError("exponential variant needs w as a list of lower coefficients")
-        lower = [parse_scalar(str(c), field) for c in payload["w"]]
-        w = Polynomial(list(reversed(lower)) + [1])
-        return CollisionParams(n=n, d=d, u=u, v=v, a=a, w=w), variant
-    z = parse_scalar(str(payload["z"]), field) if "z" in payload else None
-    return CollisionParams(n=n, d=d, u=u, v=v, a=a, z=z), variant
 
 
 def _cmd_collide(args) -> int:

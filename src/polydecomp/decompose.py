@@ -4,7 +4,10 @@ The algorithm computes the unique candidate right component h of degree
 e = n/d as the reverse of the d-th root of the reversed input (Newton
 iteration on truncated power series), then reads the left component g off
 the generalized Taylor expansion of f around h: f is decomposable at d
-exactly when all Taylor coefficients are constants.
+exactly when all Taylor coefficients are constants (over floats: when all
+their non-constant coefficients are below tol * max(1, |f|_inf), which
+rejects some genuine compositions at n >= 60, see ROADMAP item 4).  The
+check stops at the first Taylor coefficient that fails.
 
 Because h is determined by the e-1 highest coefficients of f and g by the
 coefficients at powers that are multiples of e, the whole candidate (g, h)
@@ -20,10 +23,10 @@ from typing import Mapping
 
 from .polynomial import (
     Polynomial,
+    _taylor_terms,
     compose,
     require_monic_original,
     series_dth_root,
-    taylor_coefficients,
 )
 
 DEFAULT_TOL = 1e-9
@@ -153,21 +156,20 @@ def right_component(f: Polynomial, d: int) -> Polynomial:
 def try_decompose(f: Polynomial, d: int, tol: float = DEFAULT_TOL) -> Decomposition | None:
     """Decompose f = g(h) at divisor d, or None if no such decomposition.
 
-    Over floats a Taylor coefficient counts as constant when all its
-    non-constant coefficients are below tol * max(1, |f|_inf).
+    Exact input needs every Taylor coefficient G_i of f around h constant;
+    float input needs every non-constant coefficient of every G_i below
+    tol * max(1, |f|_inf), which rejects some genuine compositions at
+    n >= 60 (ROADMAP item 4).  The check stops at the first G_i that fails.
     """
     h = right_component(f, d)
-    gs = taylor_coefficients(f, h, d)
-    if f.is_exact():
-        if any(gi.degree > 0 for gi in gs):
+    exact = f.is_exact()
+    thr = None if exact else tol * max(1.0, *map(abs, f.coeffs))
+    g = []
+    for gi in _taylor_terms(f, h, d):
+        if gi.degree > 0 if exact else any(abs(c) >= thr for c in gi.coeffs[1:]):
             return None
-    else:
-        thr = tol * max(1.0, *map(abs, f.coeffs))
-        for gi in gs:
-            if any(abs(c) >= thr for c in gi.coeffs[1:]):
-                return None
-    g = Polynomial([gi[0] for gi in gs])
-    return Decomposition(g=g, h=h)
+        g.append(gi[0])
+    return Decomposition(g=Polynomial(g), h=h)
 
 
 def is_decomposable(f: Polynomial, tol: float = DEFAULT_TOL) -> list[tuple[int, Decomposition]]:

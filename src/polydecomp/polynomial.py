@@ -17,7 +17,7 @@ polynomials is preserved (a leading ``1e-15`` stays).
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 EXACT_TYPES = (int, Fraction)
 
@@ -317,22 +317,25 @@ def series_dth_root(p: Polynomial, d: int, k: int) -> Polynomial:
     return Polynomial(q)
 
 
-def taylor_coefficients(f: Polynomial, h: Polynomial, d: int) -> tuple:
-    """Generalized Taylor expansion f = sum_i G_i h^i with deg G_i < deg h.
-
-    Returns (G_0, ..., G_d), computed by repeated division with remainder.
-    """
+def _taylor_terms(f: Polynomial, h: Polynomial, d: int) -> Iterator[Polynomial]:
+    """Yield G_0, ..., G_d of f = sum_i G_i h^i lazily, one division each."""
     e = h.degree
     if e < 1:
         raise ValueError("expansion base must be nonconstant")
     if f.degree > d * e:
         raise ValueError("degree of f exceeds d * deg h")
-    gs = []
     r = f
     for _ in range(d + 1):
         r, rem = divmod(r, h)
-        gs.append(rem)
-    return tuple(gs)
+        yield rem
+
+
+def taylor_coefficients(f: Polynomial, h: Polynomial, d: int) -> tuple:
+    """Generalized Taylor expansion f = sum_i G_i h^i with deg G_i < deg h.
+
+    Returns (G_0, ..., G_d), computed by repeated division with remainder.
+    """
+    return tuple(_taylor_terms(f, h, d))
 
 
 # -- tolerant comparison -------------------------------------------------------

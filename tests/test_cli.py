@@ -263,6 +263,22 @@ class TestCollide:
         code, _, _ = run(capsys, "collide", "{not json")
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "payload,message",
+        [
+            ({"variant": "trig", "n": 6, "d": 2, "u": "1,0", "v": "1,0", "a": "0", "z": "abc"},
+             "cannot parse coefficient 'abc'"),
+            ({"variant": "exp", "n": 6, "d": 2, "u": "1,0", "v": "1,0", "a": "0", "w": ["x"]},
+             "cannot parse coefficient 'x'"),
+            ([1, 2], "must be a JSON object"),
+        ],
+        ids=["bad-z", "bad-w", "not-an-object"],
+    )
+    def test_unparsable_payload_is_usage_error(self, capsys, payload, message):
+        code, out, err = run(capsys, "collide", json.dumps(payload))
+        assert code == 2
+        assert not out and message in err
+
     def test_missing_payload(self, capsys):
         params = json.dumps({"variant": "exp", "n": 6, "d": 2, "u": "1,0", "v": "1,0"})
         code, _, _ = run(capsys, "collide", params)

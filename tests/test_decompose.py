@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from polydecomp.decompose import (
+    DEFAULT_TOL,
     Decomposition,
     DivisorError,
     degree_bound,
@@ -19,7 +20,13 @@ from polydecomp.decompose import (
     section_components,
     try_decompose,
 )
-from polydecomp.polynomial import Polynomial, compose, poly_allclose, x_power
+from polydecomp.polynomial import (
+    Polynomial,
+    compose,
+    poly_allclose,
+    taylor_coefficients,
+    x_power,
+)
 
 
 def P(*descending):
@@ -190,6 +197,81 @@ class TestTryDecompose:
     def test_float_rejects_indecomposable(self):
         f = to_float(P(1, 0, 0, 1, 0))  # x^4 + x
         assert try_decompose(f, 2) is None
+
+
+def reference_try_decompose(f, d, tol=DEFAULT_TOL):
+    """The documented rule applied to the full Taylor expansion: exact input
+    needs every G_i constant, float input every non-constant coefficient of
+    every G_i below tol * max(1, |f|_inf)."""
+    h = right_component(f, d)
+    gs = taylor_coefficients(f, h, d)
+    if f.is_exact():
+        accept = all(gi.degree <= 0 for gi in gs)
+    else:
+        thr = tol * max(1.0, *(abs(c) for c in f.coeffs))
+        accept = all(abs(c) < thr for gi in gs for c in gi.coeffs[1:])
+    return Decomposition(g=Polynomial([gi[0] for gi in gs]), h=h) if accept else None
+
+
+def rand_float_monic_original(rng, deg):
+    return Polynomial([0.0] + [rng.uniform(-1, 1) for _ in range(deg - 1)] + [1.0])
+
+
+class TestEarlyExit:
+    """try_decompose stops at the first non-constant Taylor coefficient; its
+    answer must equal the rule applied to the whole expansion."""
+
+    @pytest.mark.parametrize("n", [12, 24, 30])
+    def test_exact_matches_full_expansion(self, n):
+        rng = random.Random(n)
+        for d in proper_divisors(n):
+            for f in (
+                rand_monic_original(rng, n),
+                compose(rand_monic_original(rng, d), rand_monic_original(rng, n // d)),
+            ):
+                assert repr(try_decompose(f, d)) == repr(reference_try_decompose(f, d))
+
+    @pytest.mark.parametrize("n,d", [(12, 3), (30, 5), (60, 6), (64, 8)])
+    def test_float_matches_full_expansion(self, n, d):
+        rng = random.Random(100 * n + d)
+        complement = nt_set(n, d).complement
+        for _ in range(3):
+            f = compose(
+                rand_float_monic_original(rng, d), rand_float_monic_original(rng, n // d)
+            )
+            coeffs = list(f.coeffs)
+            coeffs[rng.choice(complement)] += 1e-6 * max(map(abs, coeffs))
+            for candidate in (f, Polynomial(coeffs)):
+                assert repr(try_decompose(candidate, d)) == repr(
+                    reference_try_decompose(candidate, d)
+                )
+
+    @pytest.mark.parametrize("n,d", [(12, 3), (12, 4), (24, 6), (30, 5)])
+    @pytest.mark.parametrize("field", [Fraction, float])
+    def test_exit_at_first_non_constant_coefficient(self, monkeypatch, n, d, field):
+        # a*x*h^j has degree at most (d-2)e + 1, so it leaves the top e - 1
+        # coefficients (and so h) unchanged, and adds a*x to G_j alone.
+        rng = random.Random(n * d)
+        e = n // d
+        g, h = rand_monic_original(rng, d), rand_monic_original(rng, e)
+        divisions = []
+        real_divmod = Polynomial.__divmod__
+
+        def counting_divmod(self, other):
+            divisions.append(1)
+            return real_divmod(self, other)
+
+        for j in range(d - 1):
+            f = compose(g, h) + Polynomial([0, Fraction(1, 2)]) * h**j
+            gs = taylor_coefficients(f, right_component(f, d), d)
+            assert [gi.degree > 0 for gi in gs].index(True) == j
+            f = Polynomial([field(c) for c in f.coeffs])
+            assert repr(try_decompose(f, d)) == repr(reference_try_decompose(f, d)) == "None"
+            monkeypatch.setattr(Polynomial, "__divmod__", counting_divmod)
+            divisions.clear()
+            assert try_decompose(f, d) is None
+            monkeypatch.undo()
+            assert len(divisions) == j + 1
 
 
 class TestIsDecomposable:
