@@ -5,8 +5,8 @@ order including the leading and constant terms ("1,4,5,2,0" is
 x^4+4x^3+5x^2+2x); rationals as "p/q", complexes as "a+bi".  Exit codes:
 0 success, 2 usage/parse error, 3 domain error (prime degree, or a required
 decomposition that does not exist).  Algebraic commands default to exact
-rationals, estimation to real doubles.  POLYDECOMP_THREADS caps estimator
-workers; identical flags and seed give byte-identical output.
+rationals, estimation to real doubles.  Identical flags and seed give
+byte-identical output, whatever worker count ``estimate --threads`` sets.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import json
 import sys
 
 from .collisions import CollisionParameterError, CollisionParams, alpha_exp, alpha_trig
-from .decompose import DivisorError, is_composite, is_decomposable, try_decompose
+from .decompose import is_composite, is_decomposable, try_decompose
 from .density import TubeSpec, density_report, estimate_density
 from .polynomial import (
     FIELDS,
@@ -85,19 +85,15 @@ def _cmd_decompose(args) -> int:
     f = _parse_monic_original(args.f, args.field)
     n = f.degree
     _require_composite(n)
-    if args.d is not None:
-        try:
-            dec = try_decompose(f, args.d)
-        except DivisorError as exc:
-            raise UsageError(str(exc)) from None
-        rows = [] if dec is None else [_decomposition_row(args.d, dec)]
-        _emit(json.dumps(rows), args.out)
-        if dec is None:
-            print(f"no decomposition of degree-{n} input at d={args.d}", file=sys.stderr)
-            return EXIT_DOMAIN
-        return EXIT_OK
-    rows = [_decomposition_row(d, dec) for d, dec in is_decomposable(f)]
+    try:
+        found = is_decomposable(f) if args.d is None else [(args.d, try_decompose(f, args.d))]
+    except ValueError as exc:  # a divisor that is not proper, or a non-finite coefficient
+        raise UsageError(str(exc)) from None
+    rows = [_decomposition_row(d, dec) for d, dec in found if dec is not None]
     _emit(json.dumps(rows), args.out)
+    if args.d is not None and not rows:
+        print(f"no decomposition of degree-{n} input at d={args.d}", file=sys.stderr)
+        return EXIT_DOMAIN
     return EXIT_OK
 
 
@@ -124,7 +120,7 @@ def _cmd_estimate(args) -> int:
             try:
                 spec = TubeSpec(n=args.n, d=d, epsilon=eps, B=args.B, field=field)
                 result = estimate_density(
-                    spec, args.samples, seed=args.seed, mode=args.mode
+                    spec, args.samples, seed=args.seed, mode=args.mode, threads=args.threads
                 )
             except ValueError as exc:
                 raise UsageError(str(exc)) from None
@@ -220,6 +216,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--field", choices=tuple(ESTIMATE_FIELDS), default="real64")
     p.add_argument("--mode", choices=("plain", "conditional"), default="plain")
+    p.add_argument("--threads", type=int, help="worker threads, default 1; never changes output")
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument("--out")
     p.set_defaults(func=_cmd_estimate)

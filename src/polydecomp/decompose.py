@@ -5,9 +5,9 @@ e = n/d as the reverse of the d-th root of the reversed input (Newton
 iteration on truncated power series), then reads the left component g off
 the generalized Taylor expansion of f around h: f is decomposable at d
 exactly when all Taylor coefficients are constants (over floats: when all
-their non-constant coefficients are below tol * max(1, |f|_inf), which
-rejects some genuine compositions at n >= 60, see ROADMAP item 4).  The
-check stops at the first Taylor coefficient that fails.
+their non-constant coefficients are below DEFAULT_TOL * max(1, |f|_inf),
+which rejects some genuine compositions at n >= 60, see ROADMAP item 4).
+The check stops at the first Taylor coefficient that fails.
 
 Because h is determined by the e-1 highest coefficients of f and g by the
 coefficients at powers that are multiples of e, the whole candidate (g, h)
@@ -18,6 +18,7 @@ polynomial right inverse of composition.
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -153,17 +154,21 @@ def right_component(f: Polynomial, d: int) -> Polynomial:
     return _right_from_top([f[n - j] for j in range(1, n // d)], d)
 
 
-def try_decompose(f: Polynomial, d: int, tol: float = DEFAULT_TOL) -> Decomposition | None:
+def try_decompose(f: Polynomial, d: int) -> Decomposition | None:
     """Decompose f = g(h) at divisor d, or None if no such decomposition.
 
-    Exact input needs every Taylor coefficient G_i of f around h constant;
-    float input needs every non-constant coefficient of every G_i below
-    tol * max(1, |f|_inf), which rejects some genuine compositions at
-    n >= 60 (ROADMAP item 4).  The check stops at the first G_i that fails.
+    Exact input needs every Taylor coefficient G_i of f around h constant.
+    Float or complex input raises ValueError unless every coefficient is
+    finite, and needs every non-constant coefficient of every G_i below the
+    fixed tolerance 1e-9 * max(1, |f|_inf) (``DEFAULT_TOL``).  That contract
+    rejects some genuine compositions at n >= 60; ROADMAP item 4 replaces it
+    with an error model.  The check stops at the first G_i that fails.
     """
-    h = right_component(f, d)
     exact = f.is_exact()
-    thr = None if exact else tol * max(1.0, *map(abs, f.coeffs))
+    if not (exact or all(map(cmath.isfinite, f.coeffs))):
+        raise ValueError("polynomial coefficients must be finite")
+    h = right_component(f, d)
+    thr = None if exact else DEFAULT_TOL * max(1.0, *map(abs, f.coeffs))
     g = []
     for gi in _taylor_terms(f, h, d):
         if gi.degree > 0 if exact else any(abs(c) >= thr for c in gi.coeffs[1:]):
@@ -172,10 +177,11 @@ def try_decompose(f: Polynomial, d: int, tol: float = DEFAULT_TOL) -> Decomposit
     return Decomposition(g=Polynomial(g), h=h)
 
 
-def is_decomposable(f: Polynomial, tol: float = DEFAULT_TOL) -> list[tuple[int, Decomposition]]:
+def is_decomposable(f: Polynomial) -> list[tuple[int, Decomposition]]:
     """All proper divisors d at which f decomposes, ascending, with witnesses.
 
-    Empty for prime or tiny degree (nothing decomposes there).
+    Empty for prime or tiny degree (nothing decomposes there).  Float input
+    follows the rules of `try_decompose`, whose ValueError propagates.
     """
     require_monic_original(f)
     n = f.degree
@@ -183,7 +189,7 @@ def is_decomposable(f: Polynomial, tol: float = DEFAULT_TOL) -> list[tuple[int, 
         return []
     found = []
     for d in proper_divisors(n):
-        dec = try_decompose(f, d, tol)
+        dec = try_decompose(f, d)
         if dec is not None:
             found.append((d, dec))
     return found

@@ -15,16 +15,15 @@ density.  This module provides
   conditional (Rao-Blackwellized) variant that integrates the complement
   coordinates exactly per sample and only ever samples the determining ones.
 
-Estimators draw from counter-based Philox streams keyed by (seed, block), so
-results are reproducible and independent of how many worker threads run the
-blocks; POLYDECOMP_THREADS caps the workers.
+Estimators draw from counter-based Philox streams keyed by (seed, block) and
+sum the blocks in block order, so results are reproducible and do not depend
+on ``threads``, the number of worker threads that run the blocks.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
-import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -206,21 +205,7 @@ def _block_rng(seed: int, index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _worker_count(threads: int | None) -> int:
-    raw = os.environ.get("POLYDECOMP_THREADS")
-    cap = None
-    if raw:
-        try:
-            cap = max(1, int(raw))
-        except ValueError:
-            raise ValueError(f"POLYDECOMP_THREADS must be an integer, got {raw!r}") from None
-    if threads is None:
-        return cap or 1
-    threads = max(1, threads)
-    return min(threads, cap) if cap else threads
-
-
-def _run_blocks(samples: int, seed: int, worker, threads: int | None):
+def _run_blocks(samples: int, seed: int, worker, threads: int):
     tasks = []
     done = 0
     idx = 0
@@ -234,9 +219,8 @@ def _run_blocks(samples: int, seed: int, worker, threads: int | None):
         i, size = task
         return worker(_block_rng(seed, i), size)
 
-    workers = _worker_count(threads)
-    if workers > 1 and len(tasks) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as ex:
+    if threads > 1 and len(tasks) > 1:
+        with ThreadPoolExecutor(max_workers=threads) as ex:
             partials = list(ex.map(run_one, tasks))
     else:
         partials = [run_one(t) for t in tasks]
@@ -277,6 +261,8 @@ def _estimate(models, field, epsilon, B, samples, seed, mode, threads) -> Estima
         raise ValueError(f"seed must be an integer in [0, 2**64), got {seed!r}")
     if mode not in ("plain", "conditional"):
         raise ValueError(f"unknown mode {mode!r}")
+    if not (threads is None or isinstance(threads, numbers.Integral) and threads >= 1):
+        raise ValueError(f"threads must be None or an integer >= 1, got {threads!r}")
     ambient = models[0].ambient
     sample = _sample_box if field == "real" else _sample_disk
 
@@ -309,7 +295,7 @@ def _estimate(models, field, epsilon, B, samples, seed, mode, threads) -> Estima
             x = w.prod(axis=1)
             return float(x.sum()), float((x * x).sum())
 
-    total, total_sq = _run_blocks(samples, seed, worker, threads)
+    total, total_sq = _run_blocks(samples, seed, worker, threads or 1)
     return _summarize(total, total_sq, samples, seed, mode)
 
 
@@ -330,6 +316,9 @@ def estimate_density(
     coefficient range covered by the epsilon-ball around the section point:
     each sample realizes the inner integral of the density exactly, which
     cuts the variance drastically.
+
+    ``threads`` worker threads run the sample blocks; ``None`` means one.
+    The result never depends on the worker count.
     """
     if mode == "conditional" and spec.is_union:
         raise ValueError("conditional mode is not supported for the union target")
@@ -352,6 +341,8 @@ def estimate_subspace_density(
 
     Calibration aid: the exact density is (eps/B)^(n-k) over the reals, and
     in conditional mode every sample contributes that value identically.
+    ``threads=None`` runs one worker, as in `estimate_density`; the result
+    never depends on the worker count.
     """
     if not (0 < epsilon < B):
         raise ValueError("need 0 < epsilon < B")

@@ -91,6 +91,12 @@ class TestDecompose:
         assert code == 2
         assert not out and "proper divisor" in err
 
+    @pytest.mark.parametrize("f,extra", [("1,0,0,nan,0", []), ("1,0,nan,0,0", ["--d", "2"])])
+    def test_non_finite_coefficient_rejected(self, capsys, f, extra):
+        code, out, err = run(capsys, "decompose", f, "--field", "real64", *extra)
+        assert code == 2
+        assert not out and "finite" in err
+
 
 class TestRoundtrip:
     def test_twenty_fixtures(self, capsys):
@@ -139,6 +145,18 @@ class TestEstimate:
         _, out1, _ = run(capsys, *argv)
         _, out2, _ = run(capsys, *argv)
         assert out1 == out2
+
+    def test_thread_count_does_not_change_output(self, capsys):
+        argv = ["estimate", "--n", "6", "--d", "2", "--eps", "0.1", "--samples", "200000"]
+        flags = ([], ["--threads", "1"], ["--threads", "2"])
+        outs = {run(capsys, *argv, *extra)[1] for extra in flags}
+        assert len(outs) == 1
+
+    def test_zero_threads_rejected(self, capsys):
+        code, out, err = run(capsys, "estimate", "--n", "6", "--d", "2", "--eps", "0.1",
+                             "--samples", "1000", "--threads", "0")
+        assert code == 2
+        assert not out and "threads" in err
 
     def test_csv_sweep(self, capsys):
         code, out, _ = run(

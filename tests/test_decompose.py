@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -198,17 +199,26 @@ class TestTryDecompose:
         f = to_float(P(1, 0, 0, 1, 0))  # x^4 + x
         assert try_decompose(f, 2) is None
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, complex(0, math.nan)])
+    def test_non_finite_coefficient_rejected(self, bad):
+        # abs(nan) >= threshold is False, so no threshold test can reject a nan
+        f = Polynomial([0.0, bad, 0.0, 0.0, 1.0])
+        with pytest.raises(ValueError, match="finite"):
+            try_decompose(f, 2)
+        with pytest.raises(ValueError, match="finite"):
+            is_decomposable(f)
 
-def reference_try_decompose(f, d, tol=DEFAULT_TOL):
+
+def reference_try_decompose(f, d):
     """The documented rule applied to the full Taylor expansion: exact input
     needs every G_i constant, float input every non-constant coefficient of
-    every G_i below tol * max(1, |f|_inf)."""
+    every G_i below DEFAULT_TOL * max(1, |f|_inf)."""
     h = right_component(f, d)
     gs = taylor_coefficients(f, h, d)
     if f.is_exact():
         accept = all(gi.degree <= 0 for gi in gs)
     else:
-        thr = tol * max(1.0, *(abs(c) for c in f.coeffs))
+        thr = DEFAULT_TOL * max(1.0, *(abs(c) for c in f.coeffs))
         accept = all(abs(c) < thr for gi in gs for c in gi.coeffs[1:])
     return Decomposition(g=Polynomial([gi[0] for gi in gs]), h=h) if accept else None
 

@@ -331,9 +331,25 @@ class TestEstimators:
 
     def test_thread_count_does_not_change_result(self):
         spec = TubeSpec(n=6, d=None, epsilon=0.15, B=1.0)
-        r1 = estimate_density(spec, 300_000, seed=88, mode="plain", threads=1)
-        r4 = estimate_density(spec, 300_000, seed=88, mode="plain", threads=4)
-        assert r1 == r4
+        results = [
+            estimate_density(spec, 300_000, seed=88, mode="plain", threads=t)
+            for t in (None, 1, 2, 4)
+        ]
+        assert all(r == results[0] for r in results)
+
+    def test_bad_threads(self):
+        spec = TubeSpec(n=6, d=2, epsilon=0.1, B=1.0)
+        for threads in (0, -3, 2.5):
+            with pytest.raises(ValueError, match="threads"):
+                estimate_density(spec, 1000, threads=threads)
+            with pytest.raises(ValueError, match="threads"):
+                estimate_subspace_density(5, 2, 0.1, 1.0, 1000, threads=threads)
+
+    def test_threads_environment_variable_ignored(self, monkeypatch):
+        spec = TubeSpec(n=6, d=2, epsilon=0.1, B=1.0)
+        want = estimate_density(spec, 100_000, seed=12)
+        monkeypatch.setenv("POLYDECOMP_THREADS", "abc")
+        assert estimate_density(spec, 100_000, seed=12) == want
 
     def test_conditional_union_rejected(self):
         spec = TubeSpec(n=6, d=None, epsilon=0.1, B=1.0)
