@@ -6,7 +6,7 @@ x^4+4x^3+5x^2+2x); rationals as "p/q", complexes as "a+bi".  Exit codes:
 0 success, 2 usage/parse error, 3 domain error (prime degree, or a required
 decomposition that does not exist).  Algebraic commands default to exact
 rationals, estimation to real doubles.  Identical flags and seed give
-byte-identical output, whatever worker count ``estimate --threads`` sets.
+byte-identical output.
 """
 
 from __future__ import annotations
@@ -119,9 +119,7 @@ def _cmd_estimate(args) -> int:
         for eps in eps_values:
             try:
                 spec = TubeSpec(n=args.n, d=d, epsilon=eps, B=args.B, field=field)
-                result = estimate_density(
-                    spec, args.samples, seed=args.seed, mode=args.mode, threads=args.threads
-                )
+                result = estimate_density(spec, args.samples, seed=args.seed, mode=args.mode)
             except ValueError as exc:
                 raise UsageError(str(exc)) from None
             rows.append(density_report(spec, result))
@@ -172,12 +170,16 @@ def _cmd_collide(args) -> int:
     except CollisionParameterError as exc:
         raise UsageError(str(exc)) from None
     d, e = params.d, params.e
+    try:
+        at_d, at_e = try_decompose(f, d), try_decompose(f, e)
+    except ValueError as exc:  # a non-finite coefficient, e.g. from overflow
+        raise UsageError(str(exc)) from None
     report = {
         "f": format_polynomial(f),
         "d": d,
         "e": e,
-        "decomposes_at_d": try_decompose(f, d) is not None,
-        "decomposes_at_e": try_decompose(f, e) is not None,
+        "decomposes_at_d": at_d is not None,
+        "decomposes_at_e": at_e is not None,
     }
     _emit(json.dumps(report), args.out)
     return EXIT_OK
@@ -216,7 +218,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--field", choices=tuple(ESTIMATE_FIELDS), default="real64")
     p.add_argument("--mode", choices=("plain", "conditional"), default="plain")
-    p.add_argument("--threads", type=int, help="worker threads, default 1; never changes output")
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument("--out")
     p.set_defaults(func=_cmd_estimate)

@@ -128,7 +128,10 @@ def alpha_trig(params: CollisionParams) -> Polynomial:
 
 
 def verify_bidecomposable(f: Polynomial, d: int, e: int) -> bool:
-    """True iff f decomposes at both d and e (one check when d == e)."""
+    """True iff f decomposes at both d and e (one check when d == e).
+
+    Raises ValueError, as try_decompose does, on a non-finite coefficient.
+    """
     if try_decompose(f, d) is None:
         return False
     return d == e or try_decompose(f, e) is not None
