@@ -12,6 +12,7 @@ byte-identical output.
 from __future__ import annotations
 
 import argparse
+import cmath
 import csv
 import io
 import json
@@ -66,7 +67,10 @@ def _emit(text: str, out: str | None) -> None:
 def _cmd_compose(args) -> int:
     g = _parse_monic_original(args.g, args.field)
     h = _parse_monic_original(args.h, args.field)
-    _emit(format_polynomial(compose(g, h)), args.out)
+    f = compose(g, h)
+    if not (f.is_exact() or all(map(cmath.isfinite, f.coeffs))):
+        raise UsageError("the composition overflowed: a coefficient is not finite")
+    _emit(format_polynomial(f), args.out)
     return EXIT_OK
 
 

@@ -1,19 +1,19 @@
 """Decomposition of monic original polynomials f = g(h).
 
 The algorithm computes the unique candidate right component h of degree
-e = n/d as the reverse of the d-th root of the reversed input (Newton
-iteration on truncated power series), then reads the left component g off
-the generalized Taylor expansion of f around h: f is decomposable at d
-exactly when all Taylor coefficients are constants (over floats: when all
-their non-constant coefficients are below DEFAULT_TOL * max(1, |f|_inf),
-which rejects some genuine compositions at n >= 60, see ROADMAP item 4).
-The check stops at the first Taylor coefficient that fails.
+e = n/d (`right_component`, the only user of the Newton power-series root)
+as the reverse of the d-th root of the reversed input, then reads the left
+component g off the generalized Taylor expansion of f around h: f is
+decomposable at d exactly when all Taylor coefficients are constants (over
+floats: when all their non-constant coefficients are below DEFAULT_TOL *
+max(1, |f|_inf), which rejects some genuine compositions at n >= 60, see
+ROADMAP item 4).  The check stops at the first Taylor coefficient that fails.
 
 Because h is determined by the e-1 highest coefficients of f and g by the
 coefficients at powers that are multiples of e, the whole candidate (g, h)
-depends only on a distinguished index set of size d + n/d - 2; the map from
-those coordinates back to the unique matching composition (`section`) is a
-polynomial right inverse of composition.
+depends only on a distinguished index set of size d + n/d - 2.  The map from
+those coordinates back to the unique matching composition, `section`, is a
+polynomial right inverse of composition; `batched._section` computes it.
 """
 
 from __future__ import annotations
@@ -22,6 +22,9 @@ import cmath
 from dataclasses import dataclass
 from typing import Mapping
 
+import numpy as np
+
+from .batched import _section
 from .polynomial import (
     Polynomial,
     _taylor_terms,
@@ -134,14 +137,6 @@ def divisor_plan(n: int) -> DivisorPlan:
     )
 
 
-def _right_from_top(top: list, d: int) -> Polynomial:
-    """h of degree e = len(top) + 1 from the top coefficients f_{n-1}, ...,
-    f_{n-e+1}: the reverse of the d-th root mod x^e of 1 + f_{n-1} x + ..."""
-    e = len(top) + 1
-    tilde_h = series_dth_root(Polynomial([1, *top]), d, e)
-    return Polynomial([0, *(tilde_h[e - j] for j in range(1, e)), 1])
-
-
 def right_component(f: Polynomial, d: int) -> Polynomial:
     """The unique candidate right component h of degree e = n/d.
 
@@ -151,7 +146,9 @@ def right_component(f: Polynomial, d: int) -> Polynomial:
     require_monic_original(f)
     n = f.degree
     _require_proper_divisor(n, d)
-    return _right_from_top([f[n - j] for j in range(1, n // d)], d)
+    e = n // d
+    tilde_h = series_dth_root(Polynomial([1, *(f[n - j] for j in range(1, e))]), d, e)
+    return Polynomial([0, *(tilde_h[e - j] for j in range(1, e)), 1])
 
 
 def try_decompose(f: Polynomial, d: int) -> Decomposition | None:
@@ -205,25 +202,12 @@ def nt_coordinates(f: Polynomial, d: int) -> dict:
 def section_components(b: Mapping[int, object], n: int, d: int) -> tuple[Polynomial, Polynomial]:
     """(g, h) of the unique composition whose determined coefficients are b.
 
-    b maps each index of nt_set(n, d).nt to a scalar.  h comes from the top
-    e-1 entries via the Newton root; g_d = 1 and g_i for i = d-1, ..., 1 is
-    the coefficient of x^(e*i) in the running residual b_{e*i} - sum of the
-    already-known g_j h^j terms.
+    b maps each index of nt_set(n, d).nt to a scalar.  The kernel runs on one
+    dtype=object row, so ints and Fractions stay exact and floats stay floats.
     """
-    e = nt_set(n, d).e
-    h = _right_from_top([b[n - j] for j in range(1, e)], d)
-
-    powers = {1: h}
-    for j in range(2, d + 1):
-        powers[j] = powers[j - 1] * h
-    g_coeffs = [0] * (d + 1)
-    g_coeffs[d] = 1
-    for i in range(d - 1, 0, -1):
-        acc = b[e * i]
-        for j in range(i + 1, d + 1):
-            acc = acc - g_coeffs[j] * powers[j][e * i]
-        g_coeffs[i] = acc
-    return Polynomial(g_coeffs), h
+    coords = np.array([[b[i]] for i in nt_set(n, d).nt], dtype=object)
+    g, powers = _section(coords, d)
+    return Polynomial([0, *g[1:, 0], 1]), Polynomial(powers[1][:, 0])
 
 
 def section(b: Mapping[int, object], n: int, d: int) -> Polynomial:

@@ -51,10 +51,13 @@ class TubeSpec:
     field: str = "real"
 
     def __post_init__(self):
-        if not (0 < self.epsilon < self.B):
-            raise ValueError("need 0 < epsilon < B")
+        if not (0 < self.epsilon < self.B and math.isfinite(2 * self.B)):
+            raise ValueError(f"need 0 < epsilon < B and 2B finite, got B={self.B!r}")
         if self.field not in ("real", "complex"):
             raise ValueError(f"unknown field {self.field!r}")
+        d_type = (numbers.Integral, type(None))  # None targets the union
+        if not (isinstance(self.n, numbers.Integral) and isinstance(self.d, d_type)):
+            raise ValueError(f"n and d must be integers, got n={self.n!r}, d={self.d!r}")
         if not is_composite(self.n):
             raise ValueError(f"degree {self.n} is not composite")
         if self.d is not None:
@@ -190,8 +193,8 @@ class _SubspaceModel:
     """The linear calibration model R^k x {0}^(n-k) inside R^n."""
 
     def __init__(self, n: int, k: int):
-        if not 1 <= k < n:
-            raise ValueError("need 1 <= k < n")
+        if not (isinstance(n, numbers.Integral) and isinstance(k, numbers.Integral) and 1 <= k < n):
+            raise ValueError(f"need integers 1 <= k < n, got n={n!r}, k={k!r}")
         self.ambient = n
         self.free_cols = np.arange(k)
         self.dep_cols = np.arange(k, n)
@@ -344,8 +347,8 @@ def estimate_subspace_density(
     ``threads=None`` runs one worker, as in `estimate_density`; the result
     never depends on the worker count.
     """
-    if not (0 < epsilon < B):
-        raise ValueError("need 0 < epsilon < B")
+    if not (0 < epsilon < B and math.isfinite(2 * B)):
+        raise ValueError(f"need 0 < epsilon < B and 2B finite, got B={B!r}")
     if field not in ("real", "complex"):
         raise ValueError(f"unknown field {field!r}")
     return _estimate([_SubspaceModel(n, k)], field, epsilon, B, samples, seed, mode, threads)

@@ -16,6 +16,7 @@ polynomials is preserved (a leading ``1e-15`` stays).
 
 from __future__ import annotations
 
+import cmath
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
@@ -353,22 +354,23 @@ FIELDS = ("rational", "real64", "complex64")
 
 
 def parse_scalar(text: str, field: str = "rational"):
-    """Parse one coefficient: 'p/q' rationals, plain reals, 'a+bi' complexes."""
+    """Parse one coefficient: 'p/q' rationals, finite reals, finite 'a+bi' complexes."""
     text = text.strip()
     if not text:
         raise ValueError("empty coefficient")
+    if field not in FIELDS:
+        raise ValueError(f"unknown field {field!r}")
     try:
         if field == "rational":
             return Fraction(text)
-        if field == "real64":
-            return float(text)
-        if field == "complex64":
-            return complex(text.replace("i", "j").replace(" ", ""))
+        value = float(text) if field == "real64" else complex(text.replace("i", "j").replace(" ", ""))
     except ZeroDivisionError:
         raise ValueError(f"zero denominator in {text!r}") from None
     except ValueError:
         raise ValueError(f"cannot parse coefficient {text!r} as {field}") from None
-    raise ValueError(f"unknown field {field!r}")
+    if not cmath.isfinite(value):
+        raise ValueError(f"coefficient {text!r} is not finite")
+    return value
 
 
 def format_scalar(c) -> str:

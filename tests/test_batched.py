@@ -6,7 +6,7 @@ import pytest
 
 from polydecomp.batched import section_batch, series_root_batch
 from polydecomp.decompose import is_composite, nt_set, proper_divisors, section
-from polydecomp.polynomial import Polynomial, series_dth_root, truncate
+from polydecomp.polynomial import Polynomial, compose, series_dth_root, truncate
 
 
 class GaussQ:
@@ -60,7 +60,13 @@ class GaussQ:
 
 
 def exact_section_row(b_values, n, d):
-    # Fraction(float) is exact, so this is the same input evaluated exactly
+    """The section at the same float (or complex) input in exact arithmetic.
+
+    Fraction(float) is exact, and `section` runs the same kernel as
+    `section_batch` over Fractions (or Gaussian rationals).  Comparing with
+    it measures only the rounding of the float kernel, not its algorithm;
+    the dyadic compositions below check the algorithm against `compose`.
+    """
     ns = nt_set(n, d)
     if np.iscomplexobj(b_values):
         b = {i: GaussQ(v.real, v.imag) for i, v in zip(ns.nt, b_values)}
@@ -163,6 +169,24 @@ class TestSectionBatch:
                 for r in range(3):
                     want = exact_section_row(rows[r], n, d)
                     assert np.allclose(got[r], want, atol=1e-8), (n, d)
+
+    def test_dyadic_compositions_match_compose(self):
+        # with coefficients k/8, |k| <= 8, every input and every coefficient
+        # of f = g(h) is exact in float64, so compose over Fractions gives
+        # the answer the float kernel must reproduce
+        rng = random.Random(5)
+
+        def dyadic(degree):
+            return Polynomial([0, *(Fraction(rng.randint(-8, 8), 8) for _ in range(degree - 1)), 1])
+
+        pairs = [(n, d) for n in range(4, 31) if is_composite(n) for d in proper_divisors(n)]
+        for n, d in pairs + [(64, 8)]:
+            ns = nt_set(n, d)
+            for _ in range(5):
+                f = compose(dyadic(d), dyadic(n // d))
+                assert all(Fraction(float(c)) == c for c in f.coeffs)
+                got = section_batch(np.array([[float(f[i]) for i in ns.nt]]), n, d)[0]
+                assert_close_to_exact(got, np.array([float(f[i]) for i in range(1, n)]), 1e-13)
 
     def test_nt_columns_reproduced(self):
         # the section agrees with its inputs on the determining columns

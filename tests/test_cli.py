@@ -32,6 +32,20 @@ class TestCompose:
         assert code == 2
         assert err
 
+    @pytest.mark.parametrize(
+        "g,h,field",
+        [
+            ("1,nan,0", "1,1,0", "real64"),
+            ("1,1e200,0", "1,1e200,0", "real64"),  # 1e400 overflows to inf
+            ("1,1e400,0", "1,1,0", "complex64"),
+        ],
+        ids=["nan", "overflow", "complex-inf"],
+    )
+    def test_non_finite_rejected(self, capsys, g, h, field):
+        code, out, err = run(capsys, "compose", g, h, "--field", field)
+        assert code == 2
+        assert not out and "finite" in err
+
     def test_non_monic(self, capsys):
         code, _, err = run(capsys, "compose", "2,1,0", "1,0")
         assert code == 2
@@ -167,6 +181,14 @@ class TestEstimate:
         assert code == 2
         assert err
 
+    @pytest.mark.parametrize("B", ["inf", "1e308"])
+    def test_unsampleable_box_rejected(self, capsys, B):
+        code, out, err = run(
+            capsys, "estimate", "--n", "6", "--d", "2", "--eps", "0.1", "--B", B,
+        )
+        assert code == 2
+        assert not out and "B" in err
+
     def test_negative_seed_rejected(self, capsys):
         code, out, err = run(
             capsys, "estimate", "--n", "6", "--d", "2", "--eps", "0.1", "--seed", "-1",
@@ -284,6 +306,14 @@ class TestCollide:
         code, out, err = run(capsys, "collide", json.dumps(payload))
         assert code == 2
         assert not out and message in err
+
+    def test_non_finite_coefficient_is_usage_error(self, capsys):
+        params = json.dumps(
+            {"variant": "trig", "n": 6, "d": 2, "u": "1,0", "v": "1,0", "a": "nan", "z": "1"}
+        )
+        code, out, err = run(capsys, "collide", params, "--field", "real64")
+        assert code == 2
+        assert not out and "finite" in err
 
     def test_overflowing_composition_is_usage_error(self, capsys):
         params = json.dumps({"variant": "trig", "n": 12, "d": 2, "u": "1,1e300,0",

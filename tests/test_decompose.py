@@ -305,11 +305,15 @@ class TestIsDecomposable:
 
 class TestSection:
     def test_reproduces_known_composition(self):
+        # compose over Fractions is the oracle: the section of f0's
+        # determining coordinates must give back exactly the (g, h) it came from
         rng = random.Random(109)
-        for n, d in [(4, 2), (6, 2), (6, 3), (12, 4)]:
+        pairs = [(n, d) for n in range(4, 31) if is_composite(n) for d in proper_divisors(n)]
+        for n, d in pairs + [(64, 8)]:
             g = rand_monic_original(rng, d)
             h = rand_monic_original(rng, n // d)
             f0 = compose(g, h)
+            assert section_components(nt_coordinates(f0, d), n, d) == (g, h), (n, d)
             assert section(nt_coordinates(f0, d), n, d) == f0
 
     def test_all_zero_gives_pure_power(self):

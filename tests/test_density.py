@@ -261,6 +261,18 @@ class TestTubeSpec:
         with pytest.raises(ValueError):
             TubeSpec(n=6, d=2, epsilon=0.1, B=1.0, field="padic")
 
+    @pytest.mark.parametrize("n,d", [(6, 2.0), (6.0, 2), (6.0, None)])
+    def test_non_integer_degree_rejected(self, n, d):
+        # these used to escape as a TypeError from range()
+        with pytest.raises(ValueError, match="integers"):
+            TubeSpec(n=n, d=d, epsilon=0.1, B=1.0)
+
+    @pytest.mark.parametrize("B", [math.inf, 1e308, math.nan])
+    def test_unsampleable_box_rejected(self, B):
+        # sampling (-B, B) needs the width 2B to be finite
+        with pytest.raises(ValueError, match="B"):
+            TubeSpec(n=6, d=2, epsilon=0.1, B=B)
+
 
 class TestEstimators:
     def test_sandwich_conditional(self):
@@ -365,7 +377,16 @@ class TestEstimators:
                 estimate_subspace_density(5, 2, 0.1, 1.0, samples)
 
     @pytest.mark.parametrize(
-        "kwargs", [dict(epsilon=0.1, B=0.1), dict(epsilon=0.0, B=1.0), dict(field="padic")]
+        "kwargs",
+        [
+            dict(epsilon=0.1, B=0.1),
+            dict(epsilon=0.0, B=1.0),
+            dict(field="padic"),
+            dict(B=math.inf),
+            dict(B=1e308),
+            dict(n=2.5, k=1),
+            dict(k=2.0),
+        ],
     )
     def test_subspace_bad_input_rejected(self, kwargs):
         # an unknown field used to be sampled as the complex polydisk
