@@ -1,13 +1,21 @@
 """Decomposition of monic original polynomials f = g(h).
 
 The algorithm computes the unique candidate right component h of degree
-e = n/d (`right_component`, the only user of the Newton power-series root)
-as the reverse of the d-th root of the reversed input, then reads the left
-component g off the generalized Taylor expansion of f around h: f is
-decomposable at d exactly when all Taylor coefficients are constants (over
-floats: when all their non-constant coefficients are below DEFAULT_TOL *
-max(1, |f|_inf), which rejects some genuine compositions at n >= 60, see
-ROADMAP item 4).  The check stops at the first Taylor coefficient that fails.
+e = n/d (`right_component`) as the reverse of the d-th root of the reversed
+input, then reads the left component g off the generalized Taylor expansion
+of f around h: f is decomposable at d exactly when all Taylor coefficients
+are constants (over floats: when all their non-constant coefficients are
+below DEFAULT_TOL * max(1, |f|_inf), which rejects some genuine compositions
+at n >= 60, see ROADMAP item 4).  The check stops at the first Taylor
+coefficient that fails.
+
+Exact input is decomposed over the integers.  With c = lcm(denominators of
+f) * d^2, F(x) = c^n f(x/c) is a monic integer polynomial, and f = g(h)
+exactly when F = G(H) with H(x) = c^e h(x/c) and G(y) = c^n g(y/c^e).  H
+comes from an integer recurrence for the d-th root whose divisions are exact,
+and the Taylor divisions by the monic H stay in the integers; only an
+accepted witness is scaled back to Fractions.  Float and complex input take
+the Newton power-series root (`series_dth_root`), its only use.
 
 Because h is determined by the e-1 highest coefficients of f and g by the
 coefficients at powers that are multiples of e, the whole candidate (g, h)
@@ -19,7 +27,9 @@ polynomial right inverse of composition; `batched._section` computes it.
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Mapping
 
 import numpy as np
@@ -137,12 +147,54 @@ def divisor_plan(n: int) -> DivisorPlan:
     )
 
 
+def _integer_components(f: Polynomial, d: int) -> tuple[int, Polynomial, Polynomial]:
+    """(c, F, H): exact f scaled to the monic integer F(x) = c^n f(x/c) with
+    c = lcm(denominators) * d^2, and F's candidate right component H.
+
+    H is the reverse of the d-th root q of U = reverse(F), from the recurrence
+    d*t*q_t = sum_k ((d+1)k - d*t) U_k q_(t-k).  The division by d*t is exact
+    because d^(2m) * binom(1/d, m) is an integer.
+    """
+    require_monic_original(f)
+    n = f.degree
+    _require_proper_divisor(n, d)
+    c = math.lcm(*(a.denominator for a in f.coeffs)) * d * d
+    powers = [1]
+    for _ in range(n):
+        powers.append(powers[-1] * c)
+    F = [a.numerator * (powers[n - i] // a.denominator) for i, a in enumerate(f.coeffs)]
+    u = F[::-1]
+    q = [1]
+    for t in range(1, n // d):
+        s = sum(((d + 1) * k - d * t) * u[k] * q[t - k] for k in range(1, t + 1))
+        qt, r = divmod(s, d * t)
+        if r:
+            raise ArithmeticError(f"integer d-th root left remainder {r} at t = {t}")
+        q.append(qt)
+    return c, Polynomial(F), Polynomial([0, *q[:0:-1], 1])
+
+
+def _unscale(P: Polynomial, c: int) -> Polynomial:
+    """The monic original p with P(x) = c^k p(x/c), k = deg P.
+
+    A zero coefficient stays int 0, as it reads off a zero Taylor remainder.
+    """
+    k = P.degree
+    mid = (Fraction(a, c ** (k - i)) if a else 0 for i, a in enumerate(P.coeffs[1:k], 1))
+    return Polynomial([0, *mid, 1])
+
+
 def right_component(f: Polynomial, d: int) -> Polynomial:
     """The unique candidate right component h of degree e = n/d.
 
     h is the reverse of the d-th root mod x^e of the reverse of f, so it
-    depends only on the coefficients f_{n-1}, ..., f_{n-e+1}.
+    depends only on the coefficients f_{n-1}, ..., f_{n-e+1}.  Exact input
+    takes the integer root of the scaled F(x) = c^n f(x/c) and returns
+    h(x) = c^-e H(cx); float and complex input take the Newton root.
     """
+    if f.is_exact():
+        c, _, H = _integer_components(f, d)
+        return _unscale(H, c)
     require_monic_original(f)
     n = f.degree
     _require_proper_divisor(n, d)
@@ -155,6 +207,9 @@ def try_decompose(f: Polynomial, d: int) -> Decomposition | None:
     """Decompose f = g(h) at divisor d, or None if no such decomposition.
 
     Exact input needs every Taylor coefficient G_i of f around h constant.
+    It is decided over the integers: f = g(h) exactly when F = G(H) for
+    F(x) = c^n f(x/c), H(x) = c^e h(x/c) and G(y) = c^n g(y/c^e), with
+    c = lcm(denominators of f) * d^2, and g, h are scaled back only on accept.
     Float or complex input raises ValueError unless every coefficient is
     finite, and needs every non-constant coefficient of every G_i below the
     fixed tolerance 1e-9 * max(1, |f|_inf) (``DEFAULT_TOL``).  That contract
@@ -162,15 +217,20 @@ def try_decompose(f: Polynomial, d: int) -> Decomposition | None:
     with an error model.  The check stops at the first G_i that fails.
     """
     exact = f.is_exact()
-    if not (exact or all(map(cmath.isfinite, f.coeffs))):
+    if exact:
+        c, f, h = _integer_components(f, d)
+    elif all(map(cmath.isfinite, f.coeffs)):
+        h = right_component(f, d)
+        thr = DEFAULT_TOL * max(1.0, *map(abs, f.coeffs))
+    else:
         raise ValueError("polynomial coefficients must be finite")
-    h = right_component(f, d)
-    thr = None if exact else DEFAULT_TOL * max(1.0, *map(abs, f.coeffs))
     g = []
     for gi in _taylor_terms(f, h, d):
-        if gi.degree > 0 if exact else any(abs(c) >= thr for c in gi.coeffs[1:]):
+        if gi.degree > 0 if exact else any(abs(a) >= thr for a in gi.coeffs[1:]):
             return None
         g.append(gi[0])
+    if exact:
+        return Decomposition(g=_unscale(Polynomial(g), c ** h.degree), h=_unscale(h, c))
     return Decomposition(g=Polynomial(g), h=h)
 
 

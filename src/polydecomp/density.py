@@ -269,13 +269,19 @@ def _estimate(models, field, epsilon, B, samples, seed, mode, threads) -> Estima
     ambient = models[0].ambient
     sample = _sample_box if field == "real" else _sample_disk
 
+    def predict(model, free):
+        pred = model.predict(free)
+        if not np.isfinite(pred).all():
+            raise ValueError(f"the section overflows float64 at B={B!r}")
+        return pred
+
     if mode == "plain":
 
         def worker(rng, size):
             a = sample(rng, (size, ambient), B)
             member = np.zeros(size, dtype=bool)
             for model in models:
-                pred = model.predict(a[:, model.free_cols])
+                pred = predict(model, a[:, model.free_cols])
                 inside = (np.abs(a[:, model.dep_cols] - pred) < epsilon).all(axis=1)
                 member |= inside
             hits = float(np.count_nonzero(member))
@@ -286,7 +292,7 @@ def _estimate(models, field, epsilon, B, samples, seed, mode, threads) -> Estima
         nfree = len(model.free_cols)
 
         def worker(rng, size):
-            pred = model.predict(sample(rng, (size, nfree), B))
+            pred = predict(model, sample(rng, (size, nfree), B))
             if field == "real":
                 # overlap of (pred-eps, pred+eps) with (-B, B), written so the
                 # unclipped case is exactly 2*eps

@@ -32,9 +32,9 @@ class SeriesNormalizationError(ValueError):
 
 
 def _div(a, b):
-    """Field division that keeps exact scalars exact (int/int -> Fraction)."""
+    """Field division that keeps exact scalars exact: int/int is a Fraction, x/1 is x."""
     if isinstance(a, EXACT_TYPES) and isinstance(b, EXACT_TYPES):
-        return Fraction(a) / Fraction(b)
+        return a if b == 1 else Fraction(a) / Fraction(b)
     return a / b
 
 

@@ -189,6 +189,16 @@ class TestEstimate:
         assert code == 2
         assert not out and "B" in err
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowing_section_rejected(self, capsys):
+        # the mean used to print as NaN, which is not JSON, with exit 0
+        code, out, err = run(
+            capsys, "estimate", "--n", "12", "--d", "3", "--eps", "1e199", "--B", "1e200",
+            "--field", "complex64", "--mode", "conditional",
+        )
+        assert code == 2
+        assert not out and "B=1e+200" in err
+
     def test_negative_seed_rejected(self, capsys):
         code, out, err = run(
             capsys, "estimate", "--n", "6", "--d", "2", "--eps", "0.1", "--seed", "-1",

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -402,6 +403,21 @@ class TestEstimators:
             estimate_density(spec, 100, seed=seed)
         with pytest.raises(ValueError):
             estimate_subspace_density(5, 2, 0.1, 1.0, 100, seed=seed)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            TubeSpec(12, 3, 1e199, 1e200, "complex"),  # used to give mean NaN
+            TubeSpec(12, 3, 1e99, 1e100, "real"),  # used to give mean NaN
+            TubeSpec(12, 3, 1e39, 1e40, "real"),  # used to give 0.0, bracket [5.9e-7, 1e-6]
+        ],
+        ids=["complex-1e200", "real-1e100", "real-1e40"],
+    )
+    @pytest.mark.parametrize("mode", ["conditional", "plain"])
+    def test_overflowing_section_rejected(self, spec, mode):
+        with pytest.raises(ValueError, match=re.escape(f"B={spec.B!r}")):
+            estimate_density(spec, 2000, mode=mode)
 
     def test_largest_seed_accepted(self):
         spec = TubeSpec(n=6, d=2, epsilon=0.5, B=1.0)

@@ -35,6 +35,29 @@ def test_try_decompose_inverts_compose(g, h):
     assert try_decompose(compose(g, h), g.degree) == Decomposition(g=g, h=h)
 
 
+COMPOSITE_DEGREES = [n for n in range(4, 17) if is_composite(n)]
+
+
+@st.composite
+def exact_monic_original(draw):
+    """An arbitrary Fraction monic original f of composite degree, or a composition."""
+    n = draw(st.sampled_from(COMPOSITE_DEGREES))
+    if draw(st.booleans()):
+        d = draw(st.sampled_from(proper_divisors(n)))
+        return compose(draw(monic_original(d, d)), draw(monic_original(n // d, n // d)))
+    middle = draw(st.lists(fractions, min_size=n - 1, max_size=n - 1))
+    return Polynomial([Fraction(0), *middle, Fraction(1)])
+
+
+@settings(max_examples=40, deadline=None)
+@given(f=exact_monic_original())
+def test_try_decompose_is_sound_at_every_divisor(f):
+    # the integer root raises ArithmeticError if an exact division leaves a remainder
+    for d in proper_divisors(f.degree):
+        dec = try_decompose(f, d)
+        assert dec is None or compose(dec.g, dec.h) == f
+
+
 DIVISOR_PAIRS = [(n, d) for n in range(4, 17) if is_composite(n) for d in proper_divisors(n)]
 
 
