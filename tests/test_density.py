@@ -1,11 +1,14 @@
 import math
 import random
 import re
+import tracemalloc
+import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from polydecomp import density
 from polydecomp.batched import section_batch
 from polydecomp.decompose import is_composite, divisor_plan, nt_set
 from polydecomp.density import (
@@ -404,7 +407,6 @@ class TestEstimators:
         with pytest.raises(ValueError):
             estimate_subspace_density(5, 2, 0.1, 1.0, 100, seed=seed)
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize(
         "spec",
         [
@@ -416,14 +418,61 @@ class TestEstimators:
     )
     @pytest.mark.parametrize("mode", ["conditional", "plain"])
     def test_overflowing_section_rejected(self, spec, mode):
-        with pytest.raises(ValueError, match=re.escape(f"B={spec.B!r}")):
-            estimate_density(spec, 2000, mode=mode)
+        # the ValueError is the whole report: numpy prints no overflow warning
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(ValueError, match=re.escape(f"B={spec.B!r}")):
+                estimate_density(spec, 2000, mode=mode)
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
     def test_largest_seed_accepted(self):
         spec = TubeSpec(n=6, d=2, epsilon=0.5, B=1.0)
         r = estimate_density(spec, 1000, seed=2**64 - 1, mode="plain")
         assert r.seed == 2**64 - 1
         assert r.mean != estimate_density(spec, 1000, seed=0, mode="plain").mean
+
+
+class TestRowTiles:
+    """Workers compute each block in row tiles; the tile size is invisible."""
+
+    # (spec or subspace arguments, mode, samples): 100,003 leaves a ragged
+    # last block and a ragged last tile, and is not a multiple of 8
+    CASES = [
+        (TubeSpec(20, 5, 0.1, 1.0), "conditional", 100_003),
+        (TubeSpec(64, 8, 0.1, 1.0), "conditional", 20_001),
+        (TubeSpec(12, 3, 0.1, 1.0, "complex"), "conditional", 100_003),
+        (TubeSpec(6, None, 0.1, 1.0), "plain", 100_003),
+        (TubeSpec(30, 5, 0.1, 1.0), "plain", 30_000),
+        (TubeSpec(12, 3, 0.6, 1.0, "complex"), "plain", 30_000),
+        (dict(n=7, k=3, epsilon=0.2, B=1.0, field="real"), "conditional", 100_003),
+        (dict(n=7, k=3, epsilon=0.2, B=1.0, field="complex"), "conditional", 100_003),
+    ]
+
+    @staticmethod
+    def run(case, seed):
+        target, mode, samples = case
+        if isinstance(target, TubeSpec):
+            return estimate_density(target, samples, seed=seed, mode=mode)
+        return estimate_subspace_density(samples=samples, seed=seed, mode=mode, **target)
+
+    @pytest.mark.parametrize("seed", [5, 2**64 - 1])
+    def test_tile_size_does_not_change_result(self, seed, monkeypatch):
+        default = [self.run(case, seed) for case in self.CASES]
+        # one tile per block, then tiles smaller than the default
+        for tile in (1 << 16, 1024):
+            monkeypatch.setattr(density, "_TILE", tile)
+            assert [self.run(case, seed) for case in self.CASES] == default, tile
+
+    def test_peak_memory_of_a_block(self):
+        # a whole-block (64,8) section held about 170 MB of numpy buffers
+        spec = TubeSpec(64, 8, 0.1, 1.0)
+        tracemalloc.start()
+        try:
+            estimate_density(spec, 65_536, seed=3, mode="conditional", threads=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
 
 
 class TestAgainstQuadrature:
