@@ -14,8 +14,9 @@ f) * d^2, F(x) = c^n f(x/c) is a monic integer polynomial, and f = g(h)
 exactly when F = G(H) with H(x) = c^e h(x/c) and G(y) = c^n g(y/c^e).  H
 comes from an integer recurrence for the d-th root whose divisions are exact,
 and the Taylor divisions by the monic H stay in the integers; only an
-accepted witness is scaled back to Fractions.  Float and complex input take
-the Newton power-series root (`series_dth_root`), its only use.
+accepted witness is scaled back to Fractions; `compose`, which builds the
+inputs, likewise runs over the integers.  Float and complex input take the
+Newton power-series root (`series_dth_root`), its only use.
 
 Because h is determined by the e-1 highest coefficients of f and g by the
 coefficients at powers that are multiples of e, the whole candidate (g, h)
@@ -158,7 +159,8 @@ def _integer_components(f: Polynomial, d: int) -> tuple[int, Polynomial, Polynom
     require_monic_original(f)
     n = f.degree
     _require_proper_divisor(n, d)
-    c = math.lcm(*(a.denominator for a in f.coeffs)) * d * d
+    # a list, not a generator: see polynomial.compose
+    c = math.lcm(*[a.denominator for a in f.coeffs]) * d * d
     powers = [1]
     for _ in range(n):
         powers.append(powers[-1] * c)

@@ -140,9 +140,14 @@ def disk_overlap_area(dist, r: float, R: float):
     """Area of disk(radius r, center at distance dist) ∩ disk(radius R, 0).
 
     Vectorized in ``dist``; the classical two-circle lens formula with the
-    tangency/containment branches handled by clipping.
+    tangency/containment branches handled by clipping.  The geometry is
+    scaled by a power of two 2^k near max(r, R), which is exact, so that the
+    product of the four lens factors cannot overflow; the area is scaled back
+    by 2^(2k).
     """
-    dist = np.asarray(dist, dtype=np.float64)
+    k = math.frexp(max(r, R))[1]
+    dist = np.ldexp(np.asarray(dist, dtype=np.float64), -k)
+    r, R = math.ldexp(r, -k), math.ldexp(R, -k)
     small, big = (r, R) if r <= R else (R, r)
     full = math.pi * small * small
     separate = dist >= r + R
@@ -155,7 +160,7 @@ def disk_overlap_area(dist, r: float, R: float):
         (-safe + r + R) * (safe + r - R) * (safe - r + R) * (safe + r + R)
     )
     lens = r * r * a1 + R * R * a2 - 0.5 * np.sqrt(np.clip(sq, 0.0, None))
-    out = np.where(separate, 0.0, np.where(contained, full, lens))
+    out = np.ldexp(np.where(separate, 0.0, np.where(contained, full, lens)), 2 * k)
     if out.ndim == 0:
         return float(out)
     return out

@@ -5,7 +5,9 @@ Coefficients live in one of three scalar realizations: exact rationals
 complex doubles (``complex``).  Field axioms hold exactly for the rational
 realization and only approximately for the floating ones; every routine in
 this module is written so that the exact path never leaves the rationals
-(divisions promote ``int`` to ``Fraction``).
+(divisions promote ``int`` to ``Fraction``).  Exact `compose` runs over the
+integers: it clears denominators, composes in Z and divides once per
+coefficient at the end.
 
 Coefficients are stored ascending: ``coeffs[i]`` multiplies ``x**i``.  The
 zero polynomial is the empty tuple and reports degree -1.  Trailing
@@ -17,6 +19,7 @@ polynomials is preserved (a leading ``1e-15`` stays).
 from __future__ import annotations
 
 import cmath
+import math
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
@@ -145,12 +148,14 @@ class Polynomial:
         num = list(self.coeffs)
         if len(num) <= dd:
             return Polynomial(), self
+        unit = lc == 1
         q = [0] * (len(num) - dd)
         for i in range(len(num) - 1, dd - 1, -1):
             c = num[i]
             if c == 0:
                 continue
-            c = _div(c, lc)
+            if not unit:
+                c = _div(c, lc)
             q[i - dd] = c
             # leading position is consumed exactly; skip j == dd
             for j in range(dd):
@@ -239,10 +244,43 @@ def require_monic_original(p: Polynomial) -> Polynomial:
 
 
 def compose(g: Polynomial, h: Polynomial) -> Polynomial:
-    """g(h); degrees multiply.  h must be nonconstant when g is."""
+    """g(h); degrees multiply.  h must be nonconstant when g is.
+
+    One Horner loop over coefficient lists.  Exact input is scaled to
+    integers first: with G = g*dg and H = h*dh for the lcms dg, dh of the
+    denominators and d = deg g, F = sum_i G_i H^i dh^(d-i) is computed in Z
+    and divided once per coefficient by dg*dh^d.  All-int input gives ints;
+    otherwise a zero coefficient is int 0, a nonzero one below the top is a
+    Fraction, and the top one is an int when it is integral.
+    """
     if g.degree >= 1 and h.degree < 1:
         raise ValueError("composition with constant right factor")
-    return g(h)
+    if g.is_zero:
+        return g
+    exact = g.is_exact() and h.is_exact()
+    if exact:
+        # lists, not generators: CPython builds *args from a generator at a
+        # guessed size and resizes it, so each call grows a tuple free list
+        dg = math.lcm(*[c.denominator for c in g.coeffs])
+        dh = math.lcm(*[c.denominator for c in h.coeffs])
+        gs = [c.numerator * (dg // c.denominator) for c in g.coeffs]
+        hs = [c.numerator * (dh // c.denominator) for c in h.coeffs]
+    else:
+        dh = 1
+        gs, hs = g.coeffs, h.coeffs
+    acc = list(gs[-1:])
+    scale = 1
+    for c in reversed(gs[:-1]):
+        acc = _trunc_mul(acc, hs, len(acc) + len(hs) - 1)
+        scale *= dh
+        if c:
+            acc[0] += c * scale if exact else c
+    if not exact or all(type(c) is int for c in (*g.coeffs, *h.coeffs)):
+        return Polynomial(acc)
+    den = dg * scale
+    top = Fraction(acc[-1], den)
+    out = [Fraction(a, den) if a else 0 for a in acc[:-1]]
+    return Polynomial([*out, top.numerator if top.denominator == 1 else top])
 
 
 def reverse(f: Polynomial) -> Polynomial:
@@ -261,21 +299,24 @@ def reverse(f: Polynomial) -> Polynomial:
 def series_inverse(p: Polynomial, k: int) -> Polynomial:
     """q with p*q = 1 mod x^k, by Newton iteration (quadratic convergence).
 
-    Truncation lengths double 1, 2, 4, ... and finish at exactly k.
+    Truncation lengths double 1, 2, 4, ... and finish at exactly k.  The
+    reciprocal of the constant term is taken in the series' own field: a
+    Fraction when every coefficient is exact, else a float or complex.
     """
     if k <= 0:
         raise ValueError("truncation order must be positive")
     c0 = p[0]
     if c0 == 0:
         raise NonInvertibleSeriesError("series has zero constant term")
-    v = [_div(1, c0)]
+    v = [_div(1, c0) if p.is_exact() else 1 / c0]
     pc = p.coeffs
     prec = 1
     while prec < k:
         prec = min(2 * prec, k)
         pv = _trunc_mul(pc, v, prec)
         corr = [-c for c in pv]
-        corr[0] += 2
+        # Newton's invariant p0*v0 = 1 makes this exactly 1; a rounded p0*v0 may miss 1.
+        corr[0] = 1
         v = _trunc_mul(v, corr, prec)
     return Polynomial(v)
 

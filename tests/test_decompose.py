@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 from fractions import Fraction
@@ -152,6 +153,35 @@ class TestRightComponent:
             assert h[3] == c1 / 5
             assert h[2] == (-2 * c1**2 + 5 * c2) / 25
             assert h[1] == (6 * c1**3 - 20 * c2 * c1 + 25 * c3) / 125
+
+
+def seeded_float_monic_original(n, field):
+    rng = random.Random(n)
+    if field == "complex":
+        middle = [complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(n - 1)]
+        return Polynomial([0j, *middle, 1 + 0j])
+    return Polynomial([0.0, *(rng.uniform(-1, 1) for _ in range(n - 1)), 1.0])
+
+
+# sha256 of repr(right_component(seeded_float_monic_original(n, field), d)),
+# recorded from the Newton root that carried the seed 1/d as a Fraction.
+# d = 49 is a case where d * fl(1/d) != 1.
+RIGHT_COMPONENT_SHA256 = {
+    (12, 3, "float"): "d45ed6bcf6a2eb55855f860fd9ce5b13683d0e769a55cbb835fa6c2f71319eb3",
+    (12, 3, "complex"): "ed974caa4d9883af037672141785d32095e7867ac35a1e209e00c978991ab167",
+    (100, 10, "float"): "2db5e8725d23cfbd7348a330535d4f3041fc916de1a513bc0cfec7806f0b0191",
+    (100, 10, "complex"): "b7e1b5b3e498e4d7b83302f7e3733309cb56599dbb7d92a8ad5c5cd7aa5d1a27",
+    (98, 49, "float"): "df5067a53af08627e5bbf13683e35ef7ac7b45e59aa7793c31c9d15130287cec",
+    (98, 49, "complex"): "0de2eaf687cfac0f8edac3605c813cdf5643e3e728ab64c634bd76c13e1790ab",
+    (245, 49, "float"): "05f53e35c2056319a01be5b154314f69ad68973da57b07026e8dfd620f904611",
+    (245, 49, "complex"): "a2a6fa37a91551769a631b6cc356ec1388f0357b8906d6770ac8f8541174deb1",
+}
+
+
+@pytest.mark.parametrize("n,d,field", sorted(RIGHT_COMPONENT_SHA256))
+def test_float_right_component_is_pinned(n, d, field):
+    h = right_component(seeded_float_monic_original(n, field), d)
+    assert hashlib.sha256(repr(h).encode()).hexdigest() == RIGHT_COMPONENT_SHA256[n, d, field]
 
 
 class TestTryDecompose:

@@ -206,6 +206,27 @@ class TestLensArea:
         assert out[0] == pytest.approx(math.pi * 0.25)
         assert out[2] == 0.0
 
+    def test_huge_radii_do_not_overflow(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            huge = disk_overlap_area([1e80, 9e79], 3e79, 1e80)
+        unit = disk_overlap_area([1.0, 0.9], 0.3, 1.0)
+        assert np.all(np.isfinite(huge))
+        np.testing.assert_allclose(huge, 1e160 * unit, rtol=1e-12)
+
+    @pytest.mark.parametrize(
+        "n,d,epsilon,mean,std_error",
+        [
+            # recorded before the lens was rescaled; power-of-two scaling is exact
+            (12, 3, 0.1, "0x1.0188546027b24p-40", "0x1.0c17123c61a9cp-49"),
+            (6, 2, 0.3, "0x1.089c74e946a8ap-7", "0x1.cfb84ee40c5fcp-20"),
+        ],
+    )
+    def test_complex_conditional_estimate_is_unchanged(self, n, d, epsilon, mean, std_error):
+        spec = TubeSpec(n=n, d=d, epsilon=epsilon, B=1.0, field="complex")
+        r = estimate_density(spec, 20_000, seed=5, mode="conditional")
+        assert (r.mean, r.std_error) == (float.fromhex(mean), float.fromhex(std_error))
+
 
 class TestTubeMembership:
     def test_composition_is_member(self):

@@ -157,6 +157,37 @@ class TestCompose:
         with pytest.raises(ValueError):
             compose(P(1, 0), Polynomial([3]))
 
+    def test_all_int_input_gives_ints(self):
+        f = compose(P(2, -3, 0, 5), P(-1, 4, 7))
+        assert f == Polynomial(ref_add(
+            ref_add([5], [-3 * c for c in ref_mul([7, 4, -1], [7, 4, -1])]),
+            [2 * c for c in ref_mul(ref_mul([7, 4, -1], [7, 4, -1]), [7, 4, -1])],
+        ))
+        assert all(type(c) is int for c in f)
+
+    def test_exact_type_convention(self):
+        # a zero is int 0, a nonzero coefficient below the top a Fraction,
+        # the top an int when it is integral
+        f = compose(P(1, Fraction(1, 2), 0), P(2, 0, 0))  # 4x^4 + x^2
+        assert list(f) == [0, 0, 1, 0, 4]
+        assert [type(c) for c in f] == [int, int, Fraction, int, int]
+        f = compose(P(Fraction(1, 2), 0, Fraction(1, 3)), P(1, 0))  # x^2/2 + 1/3
+        assert list(f) == [Fraction(1, 3), 0, Fraction(1, 2)]
+        assert [type(c) for c in f] == [Fraction, int, Fraction]
+        assert [type(c) for c in compose(Polynomial([Fraction(6, 2)]), P(1, 0))] == [int]
+        assert compose(Polynomial(), P(Fraction(1, 2), 0)) == Polynomial()
+
+    def test_float_and_complex_match_horner(self):
+        rng = random.Random(11)
+        for _ in range(10):
+            g, h = rand_poly(rng, 5, exact=False), rand_poly(rng, 4, exact=False)
+            hc = Polynomial([complex(c, rng.uniform(-1, 1)) for c in h])
+            for right in (h, hc):
+                expected = Polynomial()
+                for c in reversed(g.coeffs):
+                    expected = Polynomial(ref_add(ref_mul(list(expected), list(right)), [c]))
+                assert compose(g, right) == expected
+
 
 class TestReverse:
     def test_examples(self):
@@ -208,6 +239,12 @@ class TestSeriesInverse:
     def test_zero_constant_term(self):
         with pytest.raises(NonInvertibleSeriesError):
             series_inverse(P(1, 0), 3)
+
+    def test_reciprocal_in_the_series_field(self):
+        assert series_inverse(Polynomial([3, 1]), 2) == Polynomial([Fraction(1, 3), Fraction(-1, 9)])
+        q = series_inverse(Polynomial([49, 0.5]), 3)
+        assert type(q[0]) is float and q[0] == 1 / 49
+        assert poly_allclose(truncate(Polynomial([49, 0.5]) * q, 3), Polynomial([1.0]), 1e-15)
 
 
 class TestSeriesRoot:

@@ -1,11 +1,17 @@
-"""Property tests (hypothesis): the compose/decompose roundtrip and the section."""
+"""Property tests (hypothesis): compose against sympy, the compose/decompose
+roundtrip and the section."""
 
 from fractions import Fraction
 
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import assume, given, settings, strategies as st  # noqa: E402
+
+try:
+    import sympy
+except ImportError:
+    sympy = None
 
 from polydecomp.decompose import (  # noqa: E402
     Decomposition,
@@ -27,6 +33,36 @@ def monic_original(draw, min_degree=2, max_degree=5):
     degree = draw(st.integers(min_degree, max_degree))
     middle = draw(st.lists(fractions, min_size=degree - 1, max_size=degree - 1))
     return Polynomial([Fraction(0), *middle, Fraction(1)])
+
+
+@st.composite
+def exact_polynomial(draw, max_degree=6):
+    """Any exact polynomial: ints, Fractions or both, not monic, possibly
+    constant or zero, with any constant term."""
+    ints = st.integers(-20, 20)
+    scalars = draw(st.sampled_from([ints, fractions, st.one_of(ints, fractions)]))
+    return Polynomial(draw(st.lists(scalars, max_size=max_degree + 1)))
+
+
+@pytest.mark.skipif(sympy is None, reason="sympy is not installed")
+@settings(max_examples=60, deadline=None)
+@given(g=exact_polynomial(), h=exact_polynomial(max_degree=4))
+def test_compose_matches_sympy(g, h):
+    assume(g.degree < 1 or h.degree >= 1)
+    x = sympy.Symbol("x")
+
+    def poly(p):
+        coeffs = [sympy.Rational(c.numerator, c.denominator) for c in reversed(p.coeffs)]
+        return sympy.Poly(coeffs or [0], x, domain="QQ")
+
+    f = compose(g, h)
+    assert poly(f) == poly(g).compose(poly(h))
+    if all(type(c) is int for c in (*g, *h)):
+        assert all(type(c) is int for c in f)
+    elif f:
+        *below, top = f.coeffs
+        assert all(type(c) is (Fraction if c else int) for c in below)
+        assert type(top) is (int if top.denominator == 1 else Fraction)
 
 
 @settings(max_examples=30, deadline=None)
