@@ -3,9 +3,10 @@
 For n = d*e with e > d >= 2 the doubly decomposable polynomials form two
 parametric families: an "exponential" one built from a power-times-substituted
 polynomial core and a "trigonometric" one built from Dickson polynomials.
-Both cores are re-centered with an original shift so every output is monic
-original, and both factor through composition in two ways, which
-`verify_bidecomposable` checks with the decomposition oracle.
+Both cores are re-centered with an original shift (`compose` with x + a,
+minus the constant term) so every output is monic original, and both factor
+through composition in two ways, which `verify_bidecomposable` checks with
+the decomposition oracle.
 """
 
 from __future__ import annotations
@@ -80,11 +81,12 @@ def dickson(k: int, z) -> Polynomial:
 
 
 def original_shift(p: Polynomial, a) -> Polynomial:
-    """p re-centered at a: (x - p(a)) o p o (x + a) = p(x + a) - p(a).
+    """p re-centered at a: p composed with x + a, minus its constant term.
 
-    The result has zero constant term and is monic whenever p is.
+    That is (x - p(a)) o p o (x + a) = p(x + a) - p(a); the result has zero
+    constant term and is monic whenever p is.
     """
-    shifted = p(Polynomial([a, 1]))
+    shifted = compose(p, Polynomial([a, 1]))
     return shifted - Polynomial([shifted[0]])
 
 

@@ -53,7 +53,8 @@ class DivisorError(ValueError):
 
 def proper_divisors(n: int) -> tuple[int, ...]:
     """Divisors of n other than 1 and n, ascending."""
-    return tuple(d for d in range(2, n) if n % d == 0)
+    # a list, not a generator: see the comment on math.lcm in compose
+    return tuple([d for d in range(2, n) if n % d == 0])
 
 
 def least_prime_factor(n: int) -> int:

@@ -165,8 +165,8 @@ class Polynomial:
     # -- evaluation --------------------------------------------------------
 
     def __call__(self, x):
-        """Horner evaluation; ``x`` may be a scalar or another Polynomial."""
-        result = Polynomial() if isinstance(x, Polynomial) else 0
+        """Horner evaluation at a scalar ``x``; `compose` substitutes a polynomial."""
+        result = 0
         for c in reversed(self.coeffs):
             result = result * x + c
         return result
@@ -224,11 +224,6 @@ def _trunc_mul(a: Sequence, b: Sequence, k: int) -> list:
     return out
 
 
-def truncate(p: Polynomial, k: int) -> Polynomial:
-    """p mod x^k."""
-    return Polynomial(p.coeffs[:k])
-
-
 # -- monic original polynomials ---------------------------------------------
 
 
@@ -281,16 +276,6 @@ def compose(g: Polynomial, h: Polynomial) -> Polynomial:
     top = Fraction(acc[-1], den)
     out = [Fraction(a, den) if a else 0 for a in acc[:-1]]
     return Polynomial([*out, top.numerator if top.denominator == 1 else top])
-
-
-def reverse(f: Polynomial) -> Polynomial:
-    """Coefficient reversal x^n * f(1/x) of a monic original f of degree n.
-
-    The result has constant term 1 (the old leading coefficient) and degree
-    at most n-1 (the old constant term 0 falls off the end).
-    """
-    require_monic_original(f)
-    return Polynomial(reversed(f.coeffs))
 
 
 # -- truncated power series ---------------------------------------------------
@@ -378,15 +363,6 @@ def taylor_coefficients(f: Polynomial, h: Polynomial, d: int) -> tuple:
     Returns (G_0, ..., G_d), computed by repeated division with remainder.
     """
     return tuple(_taylor_terms(f, h, d))
-
-
-# -- tolerant comparison -------------------------------------------------------
-
-
-def poly_allclose(p: Polynomial, q: Polynomial, tol: float = 1e-9) -> bool:
-    """Coefficientwise absolute comparison, the float equality contract."""
-    n = max(len(p.coeffs), len(q.coeffs))
-    return all(abs(p[i] - q[i]) <= tol for i in range(n))
 
 
 # -- text format ---------------------------------------------------------------

@@ -12,12 +12,9 @@ from polydecomp.polynomial import (
     format_scalar,
     parse_polynomial,
     parse_scalar,
-    poly_allclose,
-    reverse,
     series_dth_root,
     series_inverse,
     taylor_coefficients,
-    truncate,
     x_power,
 )
 
@@ -189,30 +186,6 @@ class TestCompose:
                 assert compose(g, right) == expected
 
 
-class TestReverse:
-    def test_examples(self):
-        assert reverse(P(1, 4, 5, 2, 0)) == P(2, 5, 4, 1)
-        assert reverse(x_power(7)) == Polynomial([1])
-        assert reverse(P(1, 0, 0, 1, 0)) == P(1, 0, 0, 1)
-        assert reverse(P(1, 1, 0, 0, 0)) == P(1, 1)
-
-    def test_roundtrip(self):
-        rng = random.Random(13)
-        for _ in range(40):
-            n = rng.randint(2, 12)
-            f = Polynomial([0] + [Fraction(rng.randint(-9, 9)) for _ in range(n - 1)] + [1])
-            rev = reverse(f)
-            # reversing back as a degree-n list recovers the coefficients
-            back = [rev[n - i] for i in range(n + 1)]
-            assert back == list(f.coeffs)
-
-    def test_requires_monic_original(self):
-        with pytest.raises(ValueError):
-            reverse(P(2, 0, 0))
-        with pytest.raises(ValueError):
-            reverse(P(1, 0, 5))
-
-
 class TestSeriesInverse:
     def test_geometric_series(self):
         assert series_inverse(P(-1, 1), 4) == P(1, 1, 1, 1)
@@ -224,7 +197,7 @@ class TestSeriesInverse:
         # oracle: (1+2x) * q = 1 mod x^3 pins q = 1 - 2x + 4x^2
         p = P(2, 1)
         q = series_inverse(p, 3)
-        assert truncate(p * q, 3) == Polynomial([1])
+        assert not any((p * q - 1).coeffs[:3])
         assert q == P(4, -2, 1)
 
     def test_inverse_property_all_orders(self):
@@ -233,7 +206,7 @@ class TestSeriesInverse:
             p = Polynomial([Fraction(1)] + [Fraction(rng.randint(-9, 9), rng.randint(1, 3)) for _ in range(12)])
             for k in range(1, 65):
                 q = series_inverse(p, k)
-                assert truncate(p * q, k) == Polynomial([1])
+                assert not any((p * q - 1).coeffs[:k])
                 assert q.degree < k
 
     def test_zero_constant_term(self):
@@ -244,7 +217,7 @@ class TestSeriesInverse:
         assert series_inverse(Polynomial([3, 1]), 2) == Polynomial([Fraction(1, 3), Fraction(-1, 9)])
         q = series_inverse(Polynomial([49, 0.5]), 3)
         assert type(q[0]) is float and q[0] == 1 / 49
-        assert poly_allclose(truncate(Polynomial([49, 0.5]) * q, 3), Polynomial([1.0]), 1e-15)
+        assert max(abs(c) for c in (Polynomial([49, 0.5]) * q - 1).coeffs[:3]) <= 1e-15
 
 
 class TestSeriesRoot:
@@ -252,7 +225,7 @@ class TestSeriesRoot:
         # (1+2x)^2 = 1+4x+4x^2 = 1+4x mod x^2
         q = series_dth_root(P(2, 5, 4, 1), 2, 2)
         assert q == P(2, 1)
-        assert truncate(q * q, 2) == truncate(P(2, 5, 4, 1), 2)
+        assert not any((q * q - P(2, 5, 4, 1)).coeffs[:2])
 
     def test_root_of_one(self):
         for d in (2, 3, 7):
@@ -269,7 +242,7 @@ class TestSeriesRoot:
             assert q[1] == c1 / 5
             assert q[2] == (-2 * c1**2 + 5 * c2) / 25
             assert q[3] == (6 * c1**3 - 20 * c2 * c1 + 25 * c3) / 125
-            assert truncate(q**5, 4) == truncate(p, 4)
+            assert not any((q**5 - p).coeffs[:4])
 
     def test_root_property_all_orders(self):
         rng = random.Random(29)
@@ -278,7 +251,7 @@ class TestSeriesRoot:
             for k in range(1, 33):
                 q = series_dth_root(p, d, k)
                 assert q[0] == 1 and q.degree < k
-                assert truncate(q**d, k) == truncate(p, k)
+                assert not any((q**d - p).coeffs[:k])
 
     def test_normalization_contract(self):
         with pytest.raises(SeriesNormalizationError):
@@ -365,7 +338,9 @@ class TestTextFormat:
 
 class TestAllclose:
     def test_within_tolerance(self):
+        # float polynomials compare exactly; closeness is a max-abs bound on the difference
         p = Polynomial([0.0, 2.0, 1.0])
         q = Polynomial([1e-12, 2.0 + 1e-12, 1.0])
-        assert poly_allclose(p, q)
-        assert not poly_allclose(p, Polynomial([0.0, 2.1, 1.0]))
+        assert p != q
+        assert max(abs(c) for c in (p - q).coeffs) <= 1e-9
+        assert max(abs(c) for c in (p - Polynomial([0.0, 2.1, 1.0])).coeffs) > 1e-9

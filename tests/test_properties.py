@@ -1,12 +1,12 @@
-"""Property tests (hypothesis): compose against sympy, the compose/decompose
-roundtrip and the section."""
+"""Property tests (hypothesis): compose and the original shift against sympy,
+the compose/decompose roundtrip and the section."""
 
 from fractions import Fraction
 
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import assume, given, settings, strategies as st  # noqa: E402
+from hypothesis import assume, example, given, settings, strategies as st  # noqa: E402
 
 try:
     import sympy
@@ -23,6 +23,7 @@ from polydecomp.decompose import (  # noqa: E402
     section_components,
     try_decompose,
 )
+from polydecomp.collisions import original_shift  # noqa: E402
 from polydecomp.polynomial import Polynomial, compose  # noqa: E402
 
 fractions = st.fractions(min_value=-20, max_value=20, max_denominator=12)
@@ -44,25 +45,36 @@ def exact_polynomial(draw, max_degree=6):
     return Polynomial(draw(st.lists(scalars, max_size=max_degree + 1)))
 
 
+def sympy_poly(p):
+    coeffs = [sympy.Rational(c.numerator, c.denominator) for c in reversed(p.coeffs)]
+    return sympy.Poly(coeffs or [0], sympy.Symbol("x"), domain="QQ")
+
+
 @pytest.mark.skipif(sympy is None, reason="sympy is not installed")
 @settings(max_examples=60, deadline=None)
 @given(g=exact_polynomial(), h=exact_polynomial(max_degree=4))
 def test_compose_matches_sympy(g, h):
     assume(g.degree < 1 or h.degree >= 1)
-    x = sympy.Symbol("x")
-
-    def poly(p):
-        coeffs = [sympy.Rational(c.numerator, c.denominator) for c in reversed(p.coeffs)]
-        return sympy.Poly(coeffs or [0], x, domain="QQ")
-
     f = compose(g, h)
-    assert poly(f) == poly(g).compose(poly(h))
+    assert sympy_poly(f) == sympy_poly(g).compose(sympy_poly(h))
     if all(type(c) is int for c in (*g, *h)):
         assert all(type(c) is int for c in f)
     elif f:
         *below, top = f.coeffs
         assert all(type(c) is (Fraction if c else int) for c in below)
         assert type(top) is (int if top.denominator == 1 else Fraction)
+
+
+@pytest.mark.skipif(sympy is None, reason="sympy is not installed")
+@settings(max_examples=60, deadline=None)
+@given(p=exact_polynomial(), a=st.one_of(st.just(0), st.integers(-9, 9), fractions))
+@example(p=Polynomial(), a=Fraction(3, 2))
+@example(p=Polynomial([Fraction(-7, 3)]), a=2)
+@example(p=Polynomial([4, Fraction(1, 2), 0, 1]), a=0)
+def test_original_shift_matches_sympy(p, a):
+    # p(x + a) - p(a), from sympy's Taylor shift
+    shifted = sympy_poly(p).shift(sympy.Rational(a.numerator, a.denominator))
+    assert sympy_poly(original_shift(p, a)) == shifted - shifted.coeff_monomial(1)
 
 
 @settings(max_examples=30, deadline=None)
