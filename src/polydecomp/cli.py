@@ -4,9 +4,11 @@ Polynomials are written as comma-separated coefficients in descending power
 order including the leading and constant terms ("1,4,5,2,0" is
 x^4+4x^3+5x^2+2x); rationals as "p/q", complexes as "a+bi".  Exit codes:
 0 success, 2 usage/parse error, 3 domain error (prime degree, or a required
-decomposition that does not exist).  Algebraic commands default to exact
-rationals, estimation to real doubles.  Identical flags and seed give
-byte-identical output.
+decomposition that does not exist).  The library checks each input where
+it enters and raises ValueError, as do the few checks that only the command
+line needs; `main` alone maps a ValueError to exit 2 and a DomainError to
+exit 3.  Algebraic commands default to exact rationals, estimation to real
+doubles.  Identical flags and seed give byte-identical output.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import io
 import json
 import sys
 
-from .collisions import CollisionParameterError, CollisionParams, alpha_exp, alpha_trig
+from .collisions import CollisionParams, alpha_exp, alpha_trig
 from .decompose import is_composite, is_decomposable, try_decompose
 from .density import TubeSpec, density_report, estimate_density
 from .polynomial import (
@@ -26,9 +28,9 @@ from .polynomial import (
     Polynomial,
     compose,
     format_polynomial,
-    is_monic_original,
     parse_polynomial,
     parse_scalar,
+    require_monic_original,
 )
 
 EXIT_OK = 0
@@ -38,22 +40,8 @@ EXIT_DOMAIN = 3
 ESTIMATE_FIELDS = {"real64": "real", "complex64": "complex"}
 
 
-class UsageError(Exception):
-    pass
-
-
 class DomainError(Exception):
     pass
-
-
-def _parse_monic_original(text: str, field: str) -> Polynomial:
-    try:
-        p = parse_polynomial(text, field)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
-    if not is_monic_original(p):
-        raise UsageError(f"polynomial {text!r} is not monic original")
-    return p
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -65,11 +53,11 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def _cmd_compose(args) -> int:
-    g = _parse_monic_original(args.g, args.field)
-    h = _parse_monic_original(args.h, args.field)
+    g = require_monic_original(parse_polynomial(args.g, args.field))
+    h = require_monic_original(parse_polynomial(args.h, args.field))
     f = compose(g, h)
     if not (f.is_exact() or all(map(cmath.isfinite, f.coeffs))):
-        raise UsageError("the composition overflowed: a coefficient is not finite")
+        raise ValueError("the composition overflowed: a coefficient is not finite")
     _emit(format_polynomial(f), args.out)
     return EXIT_OK
 
@@ -86,13 +74,10 @@ def _require_composite(n: int) -> None:
 
 
 def _cmd_decompose(args) -> int:
-    f = _parse_monic_original(args.f, args.field)
+    f = require_monic_original(parse_polynomial(args.f, args.field))
     n = f.degree
     _require_composite(n)
-    try:
-        found = is_decomposable(f) if args.d is None else [(args.d, try_decompose(f, args.d))]
-    except ValueError as exc:  # a divisor that is not proper, or a non-finite coefficient
-        raise UsageError(str(exc)) from None
+    found = is_decomposable(f) if args.d is None else [(args.d, try_decompose(f, args.d))]
     rows = [_decomposition_row(d, dec) for d, dec in found if dec is not None]
     _emit(json.dumps(rows), args.out)
     if args.d is not None and not rows:
@@ -105,7 +90,7 @@ def _parse_list(text: str, flag: str, kind) -> list:
     try:
         return [kind(part) for part in text.split(",")]
     except ValueError:
-        raise UsageError(f"cannot parse {flag} value {text!r}") from None
+        raise ValueError(f"cannot parse {flag} value {text!r}") from None
 
 
 def _cmd_estimate(args) -> int:
@@ -115,17 +100,14 @@ def _cmd_estimate(args) -> int:
     elif args.d is not None:
         divisors = _parse_list(args.d, "--d", int)
     else:
-        raise UsageError("estimate needs --d or --union")
+        raise ValueError("estimate needs --d or --union")
     eps_values = _parse_list(args.eps, "--eps", float)
     _require_composite(args.n)
     rows = []
     for d in divisors:
         for eps in eps_values:
-            try:
-                spec = TubeSpec(n=args.n, d=d, epsilon=eps, B=args.B, field=field)
-                result = estimate_density(spec, args.samples, seed=args.seed, mode=args.mode)
-            except ValueError as exc:
-                raise UsageError(str(exc)) from None
+            spec = TubeSpec(n=args.n, d=d, epsilon=eps, B=args.B, field=field)
+            result = estimate_density(spec, args.samples, seed=args.seed, mode=args.mode)
             rows.append(density_report(spec, result))
     if args.format == "csv":
         buf = io.StringIO()
@@ -140,44 +122,36 @@ def _cmd_estimate(args) -> int:
 
 def _collision_params(payload: object, field: str) -> tuple[CollisionParams, str]:
     if not isinstance(payload, dict):
-        raise UsageError("collision parameters must be a JSON object")
+        raise ValueError("collision parameters must be a JSON object")
     try:
         variant = payload["variant"]
         n, d = payload["n"], payload["d"]
-        u = _parse_monic_original(str(payload["u"]), field)
-        v = _parse_monic_original(str(payload["v"]), field)
+        u = parse_polynomial(str(payload["u"]), field)
+        v = parse_polynomial(str(payload["v"]), field)
         a = parse_scalar(str(payload.get("a", "0")), field)
         if variant not in ("exp", "trig"):
-            raise UsageError(f"unknown collision variant {variant!r}")
+            raise ValueError(f"unknown collision variant {variant!r}")
         if variant == "exp":
             if not isinstance(payload.get("w"), list):
-                raise UsageError("exponential variant needs w as a list of lower coefficients")
+                raise ValueError("exponential variant needs w as a list of lower coefficients")
             lower = [parse_scalar(str(c), field) for c in payload["w"]]
             w = Polynomial(list(reversed(lower)) + [1])
             return CollisionParams(n=n, d=d, u=u, v=v, a=a, w=w), variant
         z = parse_scalar(str(payload["z"]), field) if "z" in payload else None
         return CollisionParams(n=n, d=d, u=u, v=v, a=a, z=z), variant
     except KeyError as exc:
-        raise UsageError(f"collision parameters missing {exc}") from None
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+        raise ValueError(f"collision parameters missing {exc}") from None
 
 
 def _cmd_collide(args) -> int:
     try:
         payload = json.loads(args.params)
     except json.JSONDecodeError as exc:
-        raise UsageError(f"invalid JSON parameters: {exc}") from None
+        raise ValueError(f"invalid JSON parameters: {exc}") from None
     params, variant = _collision_params(payload, args.field)
-    try:
-        f = alpha_exp(params) if variant == "exp" else alpha_trig(params)
-    except CollisionParameterError as exc:
-        raise UsageError(str(exc)) from None
+    f = alpha_exp(params) if variant == "exp" else alpha_trig(params)
     d, e = params.d, params.e
-    try:
-        at_d, at_e = try_decompose(f, d), try_decompose(f, e)
-    except ValueError as exc:  # a non-finite coefficient, e.g. from overflow
-        raise UsageError(str(exc)) from None
+    at_d, at_e = try_decompose(f, d), try_decompose(f, e)
     report = {
         "f": format_polynomial(f),
         "d": d,
@@ -245,7 +219,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except UsageError as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except DomainError as exc:

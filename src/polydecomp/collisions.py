@@ -76,7 +76,7 @@ def dickson(k: int, z) -> Polynomial:
         return Polynomial([2])
     t_prev, t = Polynomial([2]), x_power(1)
     for _ in range(k - 1):
-        t_prev, t = t, x_power(1) * t - z * t_prev
+        t_prev, t = t, Polynomial([0, *t.coeffs]) - z * t_prev  # x*T_(k-1) by a shift
     return t
 
 

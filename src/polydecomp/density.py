@@ -42,6 +42,16 @@ _BLOCK_SIZE = 1 << 16
 _TILE = 1 << 13
 
 
+def _check_tube(epsilon: float, B: float, field: str) -> None:
+    """The radii and field of a tube experiment: 0 < epsilon < B, 2B finite."""
+    if not (0 < epsilon < B and math.isfinite(2 * B)):
+        raise ValueError(
+            f"need 0 < epsilon < B and 2B finite, got epsilon={epsilon!r}, B={B!r}"
+        )
+    if field not in ("real", "complex"):
+        raise ValueError(f"unknown field {field!r}")
+
+
 @dataclass(frozen=True)
 class TubeSpec:
     """An epsilon-tube experiment: degree, target divisor(s), radii, field.
@@ -58,17 +68,12 @@ class TubeSpec:
     field: str = "real"
 
     def __post_init__(self):
-        if not (0 < self.epsilon < self.B and math.isfinite(2 * self.B)):
-            raise ValueError(f"need 0 < epsilon < B and 2B finite, got B={self.B!r}")
-        if self.field not in ("real", "complex"):
-            raise ValueError(f"unknown field {self.field!r}")
+        _check_tube(self.epsilon, self.B, self.field)
         d_type = (numbers.Integral, type(None))  # None targets the union
         if not (isinstance(self.n, numbers.Integral) and isinstance(self.d, d_type)):
             raise ValueError(f"n and d must be integers, got n={self.n!r}, d={self.d!r}")
-        if not is_composite(self.n):
-            raise ValueError(f"degree {self.n} is not composite")
-        if self.d is not None:
-            nt_set(self.n, self.d)  # validates the divisor
+        for d in self.divisors:
+            nt_set(self.n, d)  # validates the degree and the divisor
 
     @property
     def is_union(self) -> bool:
@@ -372,10 +377,7 @@ def estimate_subspace_density(
     ``threads=None`` runs one worker, as in `estimate_density`; the result
     never depends on the worker count.
     """
-    if not (0 < epsilon < B and math.isfinite(2 * B)):
-        raise ValueError(f"need 0 < epsilon < B and 2B finite, got B={B!r}")
-    if field not in ("real", "complex"):
-        raise ValueError(f"unknown field {field!r}")
+    _check_tube(epsilon, B, field)
     return _estimate([_SubspaceModel(n, k)], field, epsilon, B, samples, seed, mode, threads)
 
 

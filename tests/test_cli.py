@@ -1,11 +1,16 @@
 import csv
 import io
 import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import polydecomp
 from polydecomp.cli import main
 from polydecomp.polynomial import Polynomial, compose, format_polynomial, parse_polynomial
 
@@ -181,6 +186,13 @@ class TestEstimate:
         assert code == 2
         assert err
 
+    def test_eps_above_B_names_epsilon(self, capsys):
+        code, out, err = run(
+            capsys, "estimate", "--n", "4", "--d", "2", "--eps", "2", "--B", "1",
+        )
+        assert code == 2
+        assert not out and "epsilon=2.0" in err
+
     @pytest.mark.parametrize("B", ["inf", "1e308"])
     def test_unsampleable_box_rejected(self, capsys, B):
         code, out, err = run(
@@ -344,3 +356,31 @@ class TestUsage:
 
     def test_no_command(self, capsys):
         assert main([]) == 2
+
+
+class TestProcess:
+    """The contract of the installed command: exit code, stdout, stderr."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["compose", "2,1,0", "1,0"],
+            ["decompose", "1,0,0,0,0", "--d", "3"],
+            ["estimate", "--n", "6", "--d", "2", "--eps", "0.1", "--seed", "-1"],
+            ["collide", json.dumps({"variant": "trig", "n": 6, "d": 2, "u": "1,0",
+                                    "v": "1,0", "a": "0", "z": "abc"})],
+        ],
+        ids=["compose", "decompose", "estimate", "collide"],
+    )
+    def test_bad_input_is_one_error_line(self, argv):
+        src = str(Path(polydecomp.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        proc = subprocess.run(
+            [sys.executable, "-m", "polydecomp.cli", *argv],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert "Traceback" not in proc.stderr

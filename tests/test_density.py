@@ -298,6 +298,12 @@ class TestTubeSpec:
         with pytest.raises(ValueError, match="B"):
             TubeSpec(n=6, d=2, epsilon=0.1, B=B)
 
+    def test_bad_epsilon_is_named(self):
+        with pytest.raises(ValueError, match="epsilon=nan"):
+            TubeSpec(6, 2, math.nan, 1.0)
+        with pytest.raises(ValueError, match="epsilon=nan"):
+            estimate_subspace_density(5, 2, math.nan, 1.0, 10)
+
 
 class TestEstimators:
     def test_sandwich_conditional(self):

@@ -1,6 +1,10 @@
 """Property tests (hypothesis): compose and the original shift against sympy,
-the compose/decompose roundtrip and the section."""
+the compose/decompose roundtrip, the section, and the CLI's exit codes on
+malformed input."""
 
+import contextlib
+import io
+import json
 from fractions import Fraction
 
 import pytest
@@ -23,6 +27,7 @@ from polydecomp.decompose import (  # noqa: E402
     section_components,
     try_decompose,
 )
+from polydecomp.cli import main  # noqa: E402
 from polydecomp.collisions import original_shift  # noqa: E402
 from polydecomp.polynomial import Polynomial, compose  # noqa: E402
 
@@ -124,3 +129,95 @@ def test_section_is_idempotent_and_stays_exact(case):
     assert section(nt_coordinates(f, d), n, d) == f
     g, h = section_components(b, n, d)
     assert all(isinstance(c, (int, Fraction)) for c in (*g, *h, *f))
+
+
+# -- the CLI: every input ends in exit 0, 2 or 3, never in an escaped exception
+
+DROP = object()
+SCALARS = ["0", "1", "-2", "1/3", "1/0", "2.5", "nan", "inf", "1e400", "1e300", "abc", "", "1+2i"]
+POLYS = [
+    "1,0", "1,1,0", "1,0,0", "1,2,0,0", "2,1,0", "1,1,5", "1,4,5,2,0", "1,0,0,0,0",
+    "1,0,-6,0,9,0,0", "1,nan,0", "1,1e300,0", "1,1e200,1e200,0", "1,,2", "abc", "0", "1",
+]
+FIELDS = ["rational", "real64", "complex64"]
+COLLIDE_BASES = [
+    {"variant": "trig", "n": 6, "d": 2, "u": "1,0", "v": "1,0", "a": "0", "z": "1"},
+    {"variant": "exp", "n": 6, "d": 2, "u": "1,0", "v": "1,0", "a": "1/2", "w": ["0"]},
+    {"variant": "trig", "n": 12, "d": 2, "u": "1,1,0", "v": "1,0,0", "a": "2", "z": "-1"},
+    {"variant": "exp", "n": 20, "d": 4, "u": "1,0", "v": "1,0", "a": "0", "w": ["3"]},
+]
+COLLIDE_BAD = {
+    "variant": st.sampled_from(["poly", 3, None]),
+    "n": st.sampled_from([4, 9, 20, 0, -6, 6.5, 6.0, "6", None, True]),
+    "d": st.sampled_from([3, 4, 0, 1, 2.5, "2", None]),
+    "u": st.sampled_from(POLYS),
+    "v": st.sampled_from(POLYS),
+    "a": st.sampled_from([*SCALARS, 1.5, None]),
+    "w": st.one_of(st.lists(st.sampled_from([*SCALARS, 0, 1]), max_size=4), st.sampled_from(["0", None])),
+    "z": st.sampled_from([*SCALARS, 0, None]),
+}
+ESTIMATE_BASES = [
+    {"--n": "6", "--d": "2", "--eps": "0.1", "--samples": "16"},
+    {"--n": "6", "--union": True, "--eps": "0.2", "--samples": "16", "--seed": "3"},
+    {"--n": "20", "--d": "4", "--eps": "0.5", "--samples": "8", "--mode": "conditional",
+     "--field": "complex64"},
+    {"--n": "9", "--d": "3", "--eps": "0.1,0.2", "--B": "2", "--samples": "4", "--format": "csv"},
+]
+ESTIMATE_BAD = {
+    "--n": st.sampled_from(["-1", "0", "7", "12", "x"]),
+    "--d": st.sampled_from(["3", "4", "0", "-2", "2,x", ""]),
+    "--union": st.just(True),
+    "--eps": st.sampled_from(["2", "0", "-0.1", "nan", "inf", "1e199", "x"]),
+    "--B": st.sampled_from(["0.05", "1e200", "1e308", "inf", "nan", "-1", "x"]),
+    "--samples": st.sampled_from(["1", "0", "-3", "x"]),
+    "--seed": st.sampled_from(["-1", str(2**64), "x"]),
+    "--mode": st.sampled_from(["conditional", "bogus"]),
+    "--field": st.sampled_from(["real64", "rational"]),
+}
+
+
+def spoil(draw, base: dict, bad: dict) -> dict:
+    """base with up to two entries dropped or replaced by a value from bad."""
+    out = dict(base)
+    for key in draw(st.sets(st.sampled_from(sorted(bad)), max_size=2)):
+        value = draw(st.one_of(st.just(DROP), bad[key]))
+        if value is DROP:
+            out.pop(key, None)
+        else:
+            out[key] = value
+    return out
+
+
+def as_argv(command: str, entries: dict) -> list:
+    """Positional entries in order, then flags; a True flag takes no value."""
+    argv = [command, *(v for k, v in entries.items() if not k.startswith("--"))]
+    for flag, value in entries.items():
+        if flag.startswith("--"):
+            argv += [flag] if value is True else [flag, value]
+    return argv
+
+
+@st.composite
+def cli_argv(draw):
+    command = draw(st.sampled_from(["collide", "decompose", "compose", "estimate"]))
+    field = {"--field": st.sampled_from(FIELDS)}
+    if command == "collide":
+        payload = json.dumps(spoil(draw, draw(st.sampled_from(COLLIDE_BASES)), COLLIDE_BAD))
+        params = draw(st.one_of(st.just(payload), st.sampled_from(["[1, 2]", "null", "3", "{not json"])))
+        return as_argv(command, spoil(draw, {"params": params}, field))
+    if command == "decompose":
+        base = draw(st.sampled_from([{"f": "1,4,5,2,0"}, {"f": "1,0,-6,0,9,0,0", "--d": "3"}]))
+        bad = {"f": st.sampled_from(POLYS), "--d": st.sampled_from(["-1", "0", "1", "2", "4", "x"]), **field}
+        return as_argv(command, spoil(draw, base, bad))
+    if command == "compose":
+        bad = {"g": st.sampled_from(POLYS), "h": st.sampled_from(POLYS), **field}
+        return as_argv(command, spoil(draw, {"g": "1,1,0", "h": "1,2,0"}, bad))
+    return as_argv(command, spoil(draw, draw(st.sampled_from(ESTIMATE_BASES)), ESTIMATE_BAD))
+
+
+@settings(max_examples=300, deadline=None)
+@given(argv=cli_argv())
+def test_cli_exit_code_is_the_whole_report(argv):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    assert code in (0, 2, 3)
