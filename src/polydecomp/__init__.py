@@ -1,8 +1,9 @@
 """Decomposition of univariate polynomials and the geometry around it.
 
-The package computes compositions f = g(h) and their inverses (Newton
-iteration on the reversed series for h, generalized Taylor expansion for g),
-constructs polynomials that decompose at two divisors at once, and measures
+The package computes compositions f = g(h) and their inverses (one power-series
+root of the reversed input for h; for g, a generalized Taylor expansion over
+the rationals and a residual polished by linearized least squares over
+floats), constructs polynomials that decompose at two divisors at once, and measures
 coordinate-direction epsilon-tubes around the decomposable variety: exact
 closed-form density brackets plus reproducible Monte Carlo estimators.
 """
@@ -48,7 +49,6 @@ from .density import (
     tube_membership,
 )
 from .polynomial import (
-    NonInvertibleSeriesError,
     Polynomial,
     SeriesNormalizationError,
     compose,
@@ -59,7 +59,6 @@ from .polynomial import (
     parse_scalar,
     require_monic_original,
     series_dth_root,
-    series_inverse,
     taylor_coefficients,
     x_power,
 )
@@ -72,7 +71,6 @@ __all__ = [
     "DivisorError",
     "DivisorPlan",
     "EstimateResult",
-    "NonInvertibleSeriesError",
     "NtSet",
     "Polynomial",
     "SeriesNormalizationError",
@@ -107,7 +105,6 @@ __all__ = [
     "section",
     "section_components",
     "series_dth_root",
-    "series_inverse",
     "taylor_coefficients",
     "try_decompose",
     "tube_membership",

@@ -1,22 +1,17 @@
 """Decomposition of monic original polynomials f = g(h).
 
-The algorithm computes the unique candidate right component h of degree
-e = n/d (`right_component`) as the reverse of the d-th root of the reversed
-input, then reads the left component g off the generalized Taylor expansion
-of f around h: f is decomposable at d exactly when all Taylor coefficients
-are constants (over floats: when all their non-constant coefficients are
-below DEFAULT_TOL * max(1, |f|_inf), which rejects some genuine compositions
-at n >= 60, see ROADMAP item 4).  The check stops at the first Taylor
-coefficient that fails.
-
-Exact input is decomposed over the integers.  With c = lcm(denominators of
-f) * d^2, F(x) = c^n f(x/c) is a monic integer polynomial, and f = g(h)
-exactly when F = G(H) with H(x) = c^e h(x/c) and G(y) = c^n g(y/c^e).  H
-comes from an integer recurrence for the d-th root whose divisions are exact,
-and the Taylor divisions by the monic H stay in the integers; only an
-accepted witness is scaled back to Fractions; `compose`, which builds the
-inputs, likewise runs over the integers.  Float and complex input take the
-Newton power-series root (`series_dth_root`), its only use.
+The candidate right component h of degree e = n/d (`right_component`) is
+the reverse of the d-th root of the reversed input.  Exact input is decided
+over the integers: with c = lcm(denominators of f) * d^2, F(x) = c^n f(x/c)
+is a monic integer polynomial, and f = g(h) exactly when F = G(H) with
+H(x) = c^e h(x/c) and G(y) = c^n g(y/c^e).  H comes from an integer d-th
+root whose divisions are exact, and G from the generalized Taylor expansion
+of F around the monic H, which stays in the integers and stops at the first
+non-constant coefficient.  Float and complex input are decided by a residual
+instead (Corless, Giesbrecht, Jeffrey & Watt, "Approximate polynomial
+decomposition", ISSAC 1999): linearized least-squares steps polish the
+candidate pair, and f decomposes when the polished |g(h) - f|_inf is at most
+1e-10 * max(1, |f|_inf); see `try_decompose`.
 
 Because h is determined by the e-1 highest coefficients of f and g by the
 coefficients at powers that are multiples of e, the whole candidate (g, h)
@@ -44,7 +39,8 @@ from .polynomial import (
     series_dth_root,
 )
 
-DEFAULT_TOL = 1e-9
+# the largest relative residual rho of an accepted float witness
+_TAU = 1e-10
 
 
 class DivisorError(ValueError):
@@ -193,7 +189,8 @@ def right_component(f: Polynomial, d: int) -> Polynomial:
     h is the reverse of the d-th root mod x^e of the reverse of f, so it
     depends only on the coefficients f_{n-1}, ..., f_{n-e+1}.  Exact input
     takes the integer root of the scaled F(x) = c^n f(x/c) and returns
-    h(x) = c^-e H(cx); float and complex input take the Newton root.
+    h(x) = c^-e H(cx); float and complex input return the unpolished root
+    candidate of `series_dth_root`, which `try_decompose` then polishes.
     """
     if f.is_exact():
         c, _, H = _integer_components(f, d)
@@ -209,32 +206,79 @@ def right_component(f: Polynomial, d: int) -> Polynomial:
 def try_decompose(f: Polynomial, d: int) -> Decomposition | None:
     """Decompose f = g(h) at divisor d, or None if no such decomposition.
 
-    Exact input needs every Taylor coefficient G_i of f around h constant.
-    It is decided over the integers: f = g(h) exactly when F = G(H) for
-    F(x) = c^n f(x/c), H(x) = c^e h(x/c) and G(y) = c^n g(y/c^e), with
-    c = lcm(denominators of f) * d^2, and g, h are scaled back only on accept.
-    Float or complex input raises ValueError unless every coefficient is
-    finite, and needs every non-constant coefficient of every G_i below the
-    fixed tolerance 1e-9 * max(1, |f|_inf) (``DEFAULT_TOL``).  That contract
-    rejects some genuine compositions at n >= 60; ROADMAP item 4 replaces it
-    with an error model.  The check stops at the first G_i that fails.
+    Exact input needs every Taylor coefficient of F around H constant (see
+    the module docstring); g and h are scaled back only on accept.  Float or
+    complex input raises ValueError unless every coefficient is finite.  h
+    starts at `right_component` and g at the least-squares fit of f - h^d by
+    h, ..., h^(d-1).  Linearized least-squares steps on g_1..g_(d-1) and
+    h_1..h_(e-1) go on while each cuts rho = |g(h) - f|_inf / max(1, |f|_inf)
+    at least tenfold; they stop at rho = 0 or at a step that does not, which
+    is kept only if it lowered rho.  f decomposes when the polished rho is at
+    most 1e-10, with the polished pair (Python floats or complexes) as its
+    witness.  Overflow, a non-finite rho and a singular system reject.
     """
-    exact = f.is_exact()
-    if exact:
-        c, f, h = _integer_components(f, d)
-    elif all(map(cmath.isfinite, f.coeffs)):
-        h = right_component(f, d)
-        thr = DEFAULT_TOL * max(1.0, *map(abs, f.coeffs))
-    else:
-        raise ValueError("polynomial coefficients must be finite")
+    if not f.is_exact():
+        if not all(map(cmath.isfinite, f.coeffs)):
+            raise ValueError("polynomial coefficients must be finite")
+        return _polished(f, right_component(f, d), d)
+    c, f, h = _integer_components(f, d)
     g = []
     for gi in _taylor_terms(f, h, d):
-        if gi.degree > 0 if exact else any(abs(a) >= thr for a in gi.coeffs[1:]):
+        if gi.degree > 0:
             return None
         g.append(gi[0])
-    if exact:
-        return Decomposition(g=_unscale(Polynomial(g), c ** h.degree), h=_unscale(h, c))
-    return Decomposition(g=Polynomial(g), h=h)
+    return Decomposition(g=_unscale(Polynomial(g), c ** h.degree), h=_unscale(h, c))
+
+
+def _polished(f: Polynomial, h: Polynomial, d: int) -> Decomposition | None:
+    """The float half of `try_decompose`, from the root candidate h."""
+    n, e = f.degree, h.degree
+    dtype = complex if any(isinstance(c, complex) for c in f.coeffs) else float
+    fv = np.array(f.coeffs, dtype=dtype)
+    norm = max(1.0, np.abs(fv).max())
+
+    def lstsq(a, b):  # normal equations of a with unit columns
+        s = 1 / np.linalg.norm(a, axis=0)
+        a = a * s
+        return s * np.linalg.solve(a.conj().T @ a, a.conj().T @ b)
+
+    def powers(h):  # row i is h^i, padded to n + 1 coefficients
+        p = np.zeros((d + 1, n + 1), dtype=dtype)
+        p[0, 0] = 1
+        for i in range(1, d + 1):
+            p[i, : i * e + 1] = np.convolve(p[i - 1, : (i - 1) * e + 1], h)
+        return p
+
+    rho, best = math.inf, None
+    with np.errstate(all="ignore"):
+        try:
+            h = np.array(h.coeffs, dtype=dtype)
+            p = powers(h)
+            g = np.concatenate([[0], lstsq(p[1:d, 1:n].T, fv[1:n] - p[d, 1:n]), [1]])
+            while True:
+                r = (g @ p - fv)[1:n]
+                trial = np.abs(r).max() / norm
+                if not trial < rho:
+                    break
+                cut = 0 < trial <= rho / 10
+                rho, best = trial, (g, h)
+                if not cut:
+                    break
+                # the Jacobian of g(h): columns h^i, then x^j g'(h)
+                jac = np.zeros((n - 1, d + e - 2), dtype=dtype)
+                jac[:, : d - 1] = p[1:d, 1:n].T
+                dg = np.arange(1, d + 1) * g[1:] @ p[:d]
+                for j in range(1, e):
+                    jac[j - 1 :, d - 2 + j] = dg[: n - j]
+                step = lstsq(jac, -r)
+                g = g + np.concatenate([[0], step[: d - 1], [0]])
+                h = h + np.concatenate([[0], step[d - 1 :], [0]])
+                p = powers(h)
+        except np.linalg.LinAlgError:
+            return None
+    if not rho <= _TAU:
+        return None
+    return Decomposition(*(Polynomial([0, *v[1:-1].tolist(), 1]) for v in best))
 
 
 def is_decomposable(f: Polynomial) -> list[tuple[int, Decomposition]]:

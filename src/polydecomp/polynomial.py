@@ -26,19 +26,8 @@ from typing import Iterable, Iterator, Sequence
 EXACT_TYPES = (int, Fraction)
 
 
-class NonInvertibleSeriesError(ValueError):
-    """Series inversion was asked of a series with zero constant term."""
-
-
 class SeriesNormalizationError(ValueError):
     """d-th root was asked of a series whose constant term is not 1."""
-
-
-def _div(a, b):
-    """Field division that keeps exact scalars exact: int/int is a Fraction, x/1 is x."""
-    if isinstance(a, EXACT_TYPES) and isinstance(b, EXACT_TYPES):
-        return a if b == 1 else Fraction(a) / Fraction(b)
-    return a / b
 
 
 class Polynomial:
@@ -148,14 +137,14 @@ class Polynomial:
         num = list(self.coeffs)
         if len(num) <= dd:
             return Polynomial(), self
-        unit = lc == 1
+        unit, exact = lc == 1, isinstance(lc, EXACT_TYPES)
         q = [0] * (len(num) - dd)
         for i in range(len(num) - 1, dd - 1, -1):
             c = num[i]
             if c == 0:
                 continue
-            if not unit:
-                c = _div(c, lc)
+            if not unit:  # exact scalars stay exact
+                c = Fraction(c, lc) if exact and isinstance(c, EXACT_TYPES) else c / lc
             q[i - dd] = c
             # leading position is consumed exactly; skip j == dd
             for j in range(dd):
@@ -202,13 +191,6 @@ def x_power(k: int) -> Polynomial:
     if k < 0:
         raise ValueError("negative exponent")
     return Polynomial([0] * k + [1])
-
-
-def _list_sub(a: Sequence, b: Sequence) -> list:
-    out = list(a) + [0] * (len(b) - len(a))
-    for i, c in enumerate(b):
-        out[i] -= c
-    return out
 
 
 def _trunc_mul(a: Sequence, b: Sequence, k: int) -> list:
@@ -281,31 +263,6 @@ def compose(g: Polynomial, h: Polynomial) -> Polynomial:
 # -- truncated power series ---------------------------------------------------
 
 
-def series_inverse(p: Polynomial, k: int) -> Polynomial:
-    """q with p*q = 1 mod x^k, by Newton iteration (quadratic convergence).
-
-    Truncation lengths double 1, 2, 4, ... and finish at exactly k.  The
-    reciprocal of the constant term is taken in the series' own field: a
-    Fraction when every coefficient is exact, else a float or complex.
-    """
-    if k <= 0:
-        raise ValueError("truncation order must be positive")
-    c0 = p[0]
-    if c0 == 0:
-        raise NonInvertibleSeriesError("series has zero constant term")
-    v = [_div(1, c0) if p.is_exact() else 1 / c0]
-    pc = p.coeffs
-    prec = 1
-    while prec < k:
-        prec = min(2 * prec, k)
-        pv = _trunc_mul(pc, v, prec)
-        corr = [-c for c in pv]
-        # Newton's invariant p0*v0 = 1 makes this exactly 1; a rounded p0*v0 may miss 1.
-        corr[0] = 1
-        v = _trunc_mul(v, corr, prec)
-    return Polynomial(v)
-
-
 def _trunc_pow(base: list, m: int, k: int) -> list:
     """base**m mod x^k (m >= 0)."""
     result = [1]
@@ -322,8 +279,10 @@ def _trunc_pow(base: list, m: int, k: int) -> list:
 def series_dth_root(p: Polynomial, d: int, k: int) -> Polynomial:
     """q with q**d = p mod x^k, q(0) = 1; unique with these properties.
 
-    Newton iteration with initial value 1; requires p(0) = 1 and a scalar
-    domain of characteristic 0 (divisions by d occur).
+    The triangular recurrence t*q_t = sum_j ((d+1)j - d*t)/d * p_j * q_(t-j)
+    of `batched.series_root_batch`; requires p(0) = 1.  Exact input stays
+    exact; otherwise each ((d+1)j - d*t)/d is an int/int division, rounded
+    once, so the bits equal the batched kernel's on one dtype=object column.
     """
     if d <= 0:
         raise ValueError("root index must be positive")
@@ -331,16 +290,16 @@ def series_dth_root(p: Polynomial, d: int, k: int) -> Polynomial:
         raise ValueError("truncation order must be positive")
     if p[0] != 1:
         raise SeriesNormalizationError("series constant term must be 1")
+    exact = p.is_exact()
+    u = p.coeffs[:k]
     q = [1]
-    prec = 1
-    while prec < k:
-        prec = min(2 * prec, k)
-        qd1 = _trunc_pow(q, d - 1, prec)
-        qd = _trunc_mul(qd1, q, prec)
-        num = _list_sub(qd[:prec], p.coeffs[:prec])
-        denom_inv = series_inverse(Polynomial([d * c for c in qd1]), prec)
-        corr = _trunc_mul(num, denom_inv.coeffs, prec)
-        q = _list_sub(q, corr)[:prec]
+    for t in range(1, k):
+        s = 0
+        for j in range(1, min(t + 1, len(u))):
+            m = (d + 1) * j - d * t
+            if m:
+                s += (Fraction(m, d) if exact else m / d) * u[j] * q[t - j]
+        q.append(Fraction(s, t) if exact else s / t)
     return Polynomial(q)
 
 

@@ -61,7 +61,7 @@ class TestSympyOracle:
         assert scaled(g, c**n, x / c**e).compose(self.poly(sympy, H, x)) == self.poly(sympy, F, x)
 
 
-def test_exact_input_never_runs_the_newton_root(monkeypatch):
+def test_exact_input_never_runs_the_float_polish(monkeypatch):
     calls = []
 
     def counted(name, fn):
@@ -72,14 +72,14 @@ def test_exact_input_never_runs_the_newton_root(monkeypatch):
         return wrapper
 
     monkeypatch.setattr(decompose, "series_dth_root", counted("root", polynomial.series_dth_root))
-    monkeypatch.setattr(polynomial, "series_inverse", counted("inverse", polynomial.series_inverse))
+    monkeypatch.setattr(decompose, "_polished", counted("polish", decompose._polished))
     rng = random.Random(24)
     g, h = rand_monic_original(rng, 4, den=5), rand_monic_original(rng, 6, den=5)
     f = compose(g, h)
     assert (4, Decomposition(g=g, h=h)) in is_decomposable(f)
     assert calls == []
     is_decomposable(to_float(f))
-    assert set(calls) == {"root", "inverse"}
+    assert set(calls) == {"root", "polish"}
 
 
 class TestFloatWitness:

@@ -1,10 +1,11 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+from polydecomp.batched import series_root_batch
 from polydecomp.polynomial import (
-    NonInvertibleSeriesError,
     Polynomial,
     SeriesNormalizationError,
     compose,
@@ -13,7 +14,6 @@ from polydecomp.polynomial import (
     parse_polynomial,
     parse_scalar,
     series_dth_root,
-    series_inverse,
     taylor_coefficients,
     x_power,
 )
@@ -186,40 +186,6 @@ class TestCompose:
                 assert compose(g, right) == expected
 
 
-class TestSeriesInverse:
-    def test_geometric_series(self):
-        assert series_inverse(P(-1, 1), 4) == P(1, 1, 1, 1)
-
-    def test_one(self):
-        assert series_inverse(Polynomial([1]), 9) == Polynomial([1])
-
-    def test_multiply_back(self):
-        # oracle: (1+2x) * q = 1 mod x^3 pins q = 1 - 2x + 4x^2
-        p = P(2, 1)
-        q = series_inverse(p, 3)
-        assert not any((p * q - 1).coeffs[:3])
-        assert q == P(4, -2, 1)
-
-    def test_inverse_property_all_orders(self):
-        rng = random.Random(17)
-        for _ in range(3):
-            p = Polynomial([Fraction(1)] + [Fraction(rng.randint(-9, 9), rng.randint(1, 3)) for _ in range(12)])
-            for k in range(1, 65):
-                q = series_inverse(p, k)
-                assert not any((p * q - 1).coeffs[:k])
-                assert q.degree < k
-
-    def test_zero_constant_term(self):
-        with pytest.raises(NonInvertibleSeriesError):
-            series_inverse(P(1, 0), 3)
-
-    def test_reciprocal_in_the_series_field(self):
-        assert series_inverse(Polynomial([3, 1]), 2) == Polynomial([Fraction(1, 3), Fraction(-1, 9)])
-        q = series_inverse(Polynomial([49, 0.5]), 3)
-        assert type(q[0]) is float and q[0] == 1 / 49
-        assert max(abs(c) for c in (Polynomial([49, 0.5]) * q - 1).coeffs[:3]) <= 1e-15
-
-
 class TestSeriesRoot:
     def test_square_root_truncated(self):
         # (1+2x)^2 = 1+4x+4x^2 = 1+4x mod x^2
@@ -256,6 +222,19 @@ class TestSeriesRoot:
     def test_normalization_contract(self):
         with pytest.raises(SeriesNormalizationError):
             series_dth_root(P(1, 2), 2, 3)
+
+    @pytest.mark.parametrize("d,e", [(3, 4), (5, 6), (10, 10)])
+    def test_same_bits_as_the_batched_root(self, d, e):
+        rng = random.Random(d * e)
+        for scalar in (
+            lambda: rng.uniform(-1, 1),
+            lambda: complex(rng.uniform(-1, 1), rng.uniform(-1, 1)),
+            lambda: Fraction(rng.randint(-9, 9), rng.randint(1, 9)),
+        ):
+            u = [1, *(scalar() for _ in range(e - 1))]
+            q = series_dth_root(Polynomial(u), d, e)
+            column = series_root_batch(np.array([[c] for c in u], dtype=object), d)[:, 0]
+            assert repr(q) == repr(Polynomial(column.tolist()))
 
 
 class TestTaylor:

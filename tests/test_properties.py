@@ -1,6 +1,6 @@
 """Property tests (hypothesis): compose and the original shift against sympy,
-the compose/decompose roundtrip, the section, and the CLI's exit codes on
-malformed input."""
+the compose/decompose roundtrip, the section, the float decomposition
+contract, and the CLI's exit codes on malformed input."""
 
 import contextlib
 import io
@@ -129,6 +129,38 @@ def test_section_is_idempotent_and_stays_exact(case):
     assert section(nt_coordinates(f, d), n, d) == f
     g, h = section_components(b, n, d)
     assert all(isinstance(c, (int, Fraction)) for c in (*g, *h, *f))
+
+
+FLOAT_PAIRS = [(n, d) for n in range(4, 31) if is_composite(n) for d in proper_divisors(n)]
+float_scalars = st.one_of(
+    st.floats(-1, 1), st.complex_numbers(max_magnitude=1, allow_nan=False, allow_infinity=False)
+)
+
+
+@st.composite
+def float_composition(draw):
+    """(n, d, g, h, j): float or complex g, h with coefficients in the unit
+    disk, and an index j outside nt_set(n, d), so f + c x^j leaves the variety."""
+    n, d = draw(st.sampled_from(FLOAT_PAIRS))
+    g, h = (
+        Polynomial([0.0, *draw(st.lists(float_scalars, min_size=k - 1, max_size=k - 1)), 1.0])
+        for k in (d, n // d)
+    )
+    return n, d, g, h, draw(st.sampled_from(nt_set(n, d).complement))
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=float_composition())
+def test_float_decomposition_accepts_genuine_and_rejects_perturbed(case):
+    n, d, g, h, j = case
+    f = compose(g, h)
+    dec = try_decompose(f, d)
+    assert dec is not None
+    true, got = g.coeffs + h.coeffs, dec.g.coeffs + dec.h.coeffs
+    assert max(abs(a - b) for a, b in zip(got, true)) <= 1e-9 * max(1.0, *map(abs, true))
+    coeffs = list(f.coeffs)
+    coeffs[j] += 1e-6 * max(map(abs, coeffs))
+    assert try_decompose(Polynomial(coeffs), d) is None
 
 
 # -- the CLI: every input ends in exit 0, 2 or 3, never in an escaped exception
