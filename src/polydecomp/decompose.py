@@ -215,7 +215,8 @@ def try_decompose(f: Polynomial, d: int) -> Decomposition | None:
     at least tenfold; they stop at rho = 0 or at a step that does not, which
     is kept only if it lowered rho.  f decomposes when the polished rho is at
     most 1e-10, with the polished pair (Python floats or complexes) as its
-    witness.  Overflow, a non-finite rho and a singular system reject.
+    witness.  A singular step ends the polish as a stalled one does; a
+    singular first fit, overflow and a non-finite rho reject.
     """
     if not f.is_exact():
         if not all(map(cmath.isfinite, f.coeffs)):
@@ -275,7 +276,7 @@ def _polished(f: Polynomial, h: Polynomial, d: int) -> Decomposition | None:
                 h = h + np.concatenate([[0], step[d - 1 :], [0]])
                 p = powers(h)
         except np.linalg.LinAlgError:
-            return None
+            pass  # a singular step ends the polish as a stalled one does
     if not rho <= _TAU:
         return None
     return Decomposition(*(Polynomial([0, *v[1:-1].tolist(), 1]) for v in best))

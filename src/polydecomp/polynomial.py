@@ -276,6 +276,18 @@ def _trunc_pow(base: list, m: int, k: int) -> list:
     return result
 
 
+def series_inverse(p: Polynomial, k: int) -> Polynomial:
+    """q with p*q = 1 mod x^k, in the field of p.  The package does not call
+    it; it stays while perfbench/tracer.py traces it by name (ROADMAP item 7)."""
+    if k <= 0 or p[0] == 0:
+        raise ValueError("series_inverse needs k > 0 and a nonzero constant term")
+    r = Fraction(1) / p[0] if p.is_exact() else 1 / p[0]
+    q = [r]
+    for t in range(1, k):
+        q.append(-r * sum(p[j] * q[t - j] for j in range(1, min(t, p.degree) + 1)))
+    return Polynomial(q)
+
+
 def series_dth_root(p: Polynomial, d: int, k: int) -> Polynomial:
     """q with q**d = p mod x^k, q(0) = 1; unique with these properties.
 
@@ -283,6 +295,8 @@ def series_dth_root(p: Polynomial, d: int, k: int) -> Polynomial:
     of `batched.series_root_batch`; requires p(0) = 1.  Exact input stays
     exact; otherwise each ((d+1)j - d*t)/d is an int/int division, rounded
     once, so the bits equal the batched kernel's on one dtype=object column.
+    It stays a scalar loop: calling the kernel on that column costs a ufunc
+    call per term and makes the `exact` benchmark a third slower.
     """
     if d <= 0:
         raise ValueError("root index must be positive")

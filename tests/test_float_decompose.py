@@ -12,6 +12,7 @@ import warnings
 from fractions import Fraction
 
 import mpmath
+import numpy as np
 import pytest
 
 from polydecomp.collisions import CollisionParams, alpha_exp, alpha_trig, verify_bidecomposable
@@ -131,6 +132,30 @@ def test_float_collisions_verify_at_both_divisors(variant):
         else:
             f = alpha_trig(CollisionParams(n=42, d=6, u=x, v=x, a=a, z=z))
         assert verify_bidecomposable(f, 6, 7)
+
+
+def test_singular_step_ends_the_polish_and_a_singular_fit_rejects(monkeypatch):
+    g, h = draw_pair(random.Random(1), 30, 5, "float")
+    f = rounded_composition(g, h)
+    solve, calls = np.linalg.solve, []
+
+    def singular_after(k):
+        def fake(a, b):
+            calls.append(k)
+            if len(calls) > k:
+                raise np.linalg.LinAlgError("singular matrix")
+            return solve(a, b)
+
+        return fake
+
+    # the first fit is within TAU; the step after it finds a singular system
+    monkeypatch.setattr(np.linalg, "solve", singular_after(1))
+    dec = try_decompose(f, 5)
+    assert len(calls) == 2
+    assert dec is not None and witness_error(dec, g, h) <= 1e-9
+    calls.clear()
+    monkeypatch.setattr(np.linalg, "solve", singular_after(0))
+    assert try_decompose(f, 5) is None
 
 
 def test_overflow_rejects_without_a_warning():

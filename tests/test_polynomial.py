@@ -14,6 +14,7 @@ from polydecomp.polynomial import (
     parse_polynomial,
     parse_scalar,
     series_dth_root,
+    series_inverse,
     taylor_coefficients,
     x_power,
 )
@@ -184,6 +185,40 @@ class TestCompose:
                 for c in reversed(g.coeffs):
                     expected = Polynomial(ref_add(ref_mul(list(expected), list(right)), [c]))
                 assert compose(g, right) == expected
+
+
+class TestSeriesInverse:
+    def test_geometric_series(self):
+        assert series_inverse(P(-1, 1), 4) == P(1, 1, 1, 1)
+
+    def test_one(self):
+        assert series_inverse(Polynomial([1]), 9) == Polynomial([1])
+
+    def test_multiply_back(self):
+        # oracle: (1+2x) * q = 1 mod x^3 pins q = 1 - 2x + 4x^2
+        p = P(2, 1)
+        q = series_inverse(p, 3)
+        assert not any((p * q - 1).coeffs[:3])
+        assert q == P(4, -2, 1)
+
+    def test_inverse_property_all_orders(self):
+        rng = random.Random(17)
+        for _ in range(3):
+            p = Polynomial([Fraction(1)] + [Fraction(rng.randint(-9, 9), rng.randint(1, 3)) for _ in range(12)])
+            for k in range(1, 65):
+                q = series_inverse(p, k)
+                assert not any((p * q - 1).coeffs[:k])
+                assert q.degree < k
+
+    def test_zero_constant_term(self):
+        with pytest.raises(ValueError, match="zero constant term"):
+            series_inverse(P(1, 0), 3)
+
+    def test_reciprocal_in_the_series_field(self):
+        assert series_inverse(Polynomial([3, 1]), 2) == Polynomial([Fraction(1, 3), Fraction(-1, 9)])
+        q = series_inverse(Polynomial([49, 0.5]), 3)
+        assert type(q[0]) is float and q[0] == 1 / 49
+        assert max(abs(c) for c in (Polynomial([49, 0.5]) * q - 1).coeffs[:3]) <= 1e-15
 
 
 class TestSeriesRoot:
