@@ -271,7 +271,11 @@ def _sample_disk(rng, shape, B: float) -> np.ndarray:
     # inverse-CDF radial sampling: deterministic draw count per sample
     radius = B * np.sqrt(rng.random(size=shape))
     angle = 2.0 * math.pi * rng.random(size=shape)
-    return radius * np.exp(1j * angle)
+    # the bytes of radius * np.exp(1j * angle), without its complex temporaries
+    out = np.empty(shape, dtype=complex)
+    np.multiply(radius, np.cos(angle), out=out.real)
+    np.multiply(radius, np.sin(angle), out=out.imag)
+    return out
 
 
 def _estimate(models, field, epsilon, B, samples, seed, mode, threads) -> EstimateResult:

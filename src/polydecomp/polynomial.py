@@ -5,9 +5,9 @@ Coefficients live in one of three scalar realizations: exact rationals
 complex doubles (``complex``).  Field axioms hold exactly for the rational
 realization and only approximately for the floating ones; every routine in
 this module is written so that the exact path never leaves the rationals
-(divisions promote ``int`` to ``Fraction``).  Exact `compose` runs over the
-integers: it clears denominators, composes in Z and divides once per
-coefficient at the end.
+(divisions promote ``int`` to ``Fraction``).  `compose` is one Horner loop of
+`np.convolve` over dtype=object integers, float64 or complex128; exact input
+clears denominators, composes in Z and divides once per coefficient at the end.
 
 Coefficients are stored ascending: ``coeffs[i]`` multiplies ``x**i``.  The
 zero polynomial is the empty tuple and reports degree -1.  Trailing
@@ -22,6 +22,8 @@ import cmath
 import math
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
+
+import numpy as np
 
 EXACT_TYPES = (int, Fraction)
 
@@ -223,12 +225,14 @@ def require_monic_original(p: Polynomial) -> Polynomial:
 def compose(g: Polynomial, h: Polynomial) -> Polynomial:
     """g(h); degrees multiply.  h must be nonconstant when g is.
 
-    One Horner loop over coefficient lists.  Exact input is scaled to
-    integers first: with G = g*dg and H = h*dh for the lcms dg, dh of the
-    denominators and d = deg g, F = sum_i G_i H^i dh^(d-i) is computed in Z
-    and divided once per coefficient by dg*dh^d.  All-int input gives ints;
-    otherwise a zero coefficient is int 0, a nonzero one below the top is a
-    Fraction, and the top one is an int when it is integral.
+    One Horner loop of `np.convolve` over dtype=object integers, float64 or
+    complex128; other scalar types go on dtype=object, and float overflow
+    gives inf without a warning.  Exact input is scaled to integers first:
+    with G = g*dg and H = h*dh for the lcms dg, dh of the denominators and
+    d = deg g, F = sum_i G_i H^i dh^(d-i) is computed in Z and divided once
+    per coefficient by dg*dh^d.  All-int input gives ints; otherwise a zero
+    coefficient is int 0, a nonzero one below the top is a Fraction, and the
+    top one is an int when it is integral.
     """
     if g.degree >= 1 and h.degree < 1:
         raise ValueError("composition with constant right factor")
@@ -243,15 +247,17 @@ def compose(g: Polynomial, h: Polynomial) -> Polynomial:
         gs = [c.numerator * (dg // c.denominator) for c in g.coeffs]
         hs = [c.numerator * (dh // c.denominator) for c in h.coeffs]
     else:
-        dh = 1
-        gs, hs = g.coeffs, h.coeffs
-    acc = list(gs[-1:])
+        dh, gs, hs = 1, g.coeffs, h.coeffs
+    hs = np.array(hs, object if exact else np.array((*gs, *hs)).dtype)
+    acc = np.array(gs[-1:], hs.dtype)
     scale = 1
-    for c in reversed(gs[:-1]):
-        acc = _trunc_mul(acc, hs, len(acc) + len(hs) - 1)
-        scale *= dh
-        if c:
-            acc[0] += c * scale if exact else c
+    with np.errstate(all="ignore"):
+        for c in reversed(gs[:-1]):
+            acc = np.convolve(acc, hs)
+            scale *= dh
+            if c:
+                acc[0] += c * scale if exact else c
+    acc = acc.tolist()
     if not exact or all(type(c) is int for c in (*g.coeffs, *h.coeffs)):
         return Polynomial(acc)
     den = dg * scale
@@ -369,7 +375,10 @@ def format_scalar(c) -> str:
         return f"{c.real!r}{sign}{abs(c.imag)!r}i"
     if isinstance(c, float):
         return repr(c)
-    return str(c)
+    try:
+        return str(c)
+    except ValueError:  # past Python's int-to-str digit limit
+        raise ValueError("a coefficient of the result has more digits than can be printed") from None
 
 
 def parse_polynomial(text: str, field: str = "rational") -> Polynomial:

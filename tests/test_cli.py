@@ -344,6 +344,14 @@ class TestCollide:
         assert code == 2
         assert not out and "finite" in err
 
+    @pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(), reason="no digit limit")
+    def test_result_past_the_digit_limit_is_usage_error(self, capsys):
+        params = json.dumps({"variant": "exp", "n": 20, "d": 4, "u": "1,0", "v": "1,0",
+                             "a": "1e400", "w": ["3"]})
+        code, out, err = run(capsys, "collide", params)
+        assert code == 2 and not out
+        assert err.splitlines() == ["error: a coefficient of the result has more digits than can be printed"]
+
     def test_missing_payload(self, capsys):
         params = json.dumps({"variant": "exp", "n": 6, "d": 2, "u": "1,0", "v": "1,0"})
         code, _, _ = run(capsys, "collide", params)

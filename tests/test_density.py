@@ -459,6 +459,18 @@ class TestEstimators:
         assert r.mean != estimate_density(spec, 1000, seed=0, mode="plain").mean
 
 
+def test_sample_disk_bytes_equal_the_exponential_form():
+    shape = (65_536, 7)
+    for seed in range(3):
+        for B in (1e-3, 0.3, 1.0, 7.5):
+            rng = np.random.default_rng(seed)
+            radius = B * np.sqrt(rng.random(size=shape))
+            angle = 2.0 * math.pi * rng.random(size=shape)
+            expected = radius * np.exp(1j * angle)
+            got = density._sample_disk(np.random.default_rng(seed), shape, B)
+            assert got.dtype == np.complex128 and got.tobytes() == expected.tobytes()
+
+
 class TestRowTiles:
     """Workers compute each block in row tiles; the tile size is invisible."""
 

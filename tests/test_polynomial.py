@@ -1,4 +1,7 @@
+import math
 import random
+import sys
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -37,6 +40,58 @@ def ref_add(a, b):
     for i, c in enumerate(b):
         out[i] += c
     return out
+
+
+# 0 where Python has no int-to-str digit limit (before 3.10.7) or it is off
+INT_DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
+def ref_compose(g, h):
+    """Horner over the reference arithmetic: coefficients of g(h)."""
+    acc, h = [], list(h)
+    for c in reversed(list(g)):
+        acc = ref_add(ref_mul(acc, h), [c])
+    return acc
+
+
+class GaussQ:
+    """Exact Gaussian rational re + im*i, with Fraction parts: the exact
+    value of a float or complex, and a scalar type `compose` treats as
+    neither exact nor floating."""
+
+    def __init__(self, re, im=0):
+        self.re, self.im = Fraction(re), Fraction(im)
+
+    @staticmethod
+    def of(x):
+        if isinstance(x, GaussQ):
+            return x
+        return GaussQ(x.real, x.imag) if isinstance(x, complex) else GaussQ(x)
+
+    def __add__(self, other):
+        o = GaussQ.of(other)
+        return GaussQ(self.re + o.re, self.im + o.im)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        o = GaussQ.of(other)
+        return GaussQ(self.re - o.re, self.im - o.im)
+
+    def __mul__(self, other):
+        o = GaussQ.of(other)
+        return GaussQ(self.re * o.re - self.im * o.im, self.re * o.im + self.im * o.re)
+
+    __rmul__ = __mul__
+
+    def __eq__(self, other):
+        o = GaussQ.of(other)
+        return self.re == o.re and self.im == o.im
+
+    __hash__ = None
+
+    def norm(self):
+        return self.re * self.re + self.im * self.im
 
 
 def P(*descending):
@@ -176,15 +231,66 @@ class TestCompose:
         assert compose(Polynomial(), P(Fraction(1, 2), 0)) == Polynomial()
 
     def test_float_and_complex_match_horner(self):
+        # oracle: Horner in exact arithmetic on the exact values of the floats
+        # (Gaussian rationals, which hold real input too); coefficient i must
+        # lie within 2*n*u*(|g| o |h|)_i, with |g| o |h| exact as well
+        u = Fraction(1, 2**53)
+
+        def modulus(c):  # an upper bound: abs of a complex rounds once
+            return Fraction(abs(c)) * (1 + 2 * u)
+
         rng = random.Random(11)
         for _ in range(10):
             g, h = rand_poly(rng, 5, exact=False), rand_poly(rng, 4, exact=False)
             hc = Polynomial([complex(c, rng.uniform(-1, 1)) for c in h])
             for right in (h, hc):
-                expected = Polynomial()
-                for c in reversed(g.coeffs):
-                    expected = Polynomial(ref_add(ref_mul(list(expected), list(right)), [c]))
-                assert compose(g, right) == expected
+                f = compose(g, right)
+                n = f.degree
+                exact = ref_compose(map(GaussQ.of, g), map(GaussQ.of, right))
+                size = ref_compose(map(modulus, g), map(modulus, right))
+                assert n == len(exact) - 1 == g.degree * right.degree
+                for fi, ei, si in zip(f, exact, size):
+                    assert (GaussQ.of(fi) - ei).norm() <= (2 * n * u * si) ** 2
+
+    def test_big_integers_match_sympy(self):
+        sympy = pytest.importorskip("sympy")
+        x = sympy.Symbol("x")
+
+        def to_sympy(p):
+            return sympy.Poly([sympy.Rational(c.numerator, c.denominator) for c in reversed(p.coeffs)], x)
+
+        rng = random.Random(37)
+        for _ in range(6):
+            g = Polynomial([rng.randint(-(2**80), 2**80) for _ in range(4)] + [1])
+            h = Polynomial([rng.randint(-(10**40), 10**40) for _ in range(3)] + [rng.randint(1, 10**40)])
+            f = compose(g, h)
+            assert all(type(c) is int for c in f)
+            assert to_sympy(f) == to_sympy(g).compose(to_sympy(h))
+            gq = Polynomial([Fraction(c, rng.randint(1, 2**70)) for c in g])
+            assert to_sympy(compose(gq, h)) == to_sympy(gq).compose(to_sympy(h))
+
+    def test_results_hold_python_scalars(self):
+        rng = random.Random(41)
+        g, h = rand_poly(rng, 4, exact=False), rand_poly(rng, 3, exact=False)
+        assert {type(c) for c in compose(g, h)} == {float}
+        assert {type(c) for c in compose(g, Polynomial([complex(c, 0.5) for c in h]))} == {complex}
+        exact = compose(rand_poly(rng, 4), rand_poly(rng, 3))
+        assert {type(c) for c in exact} <= {int, Fraction}
+
+    def test_float_overflow_is_inf_without_warning(self):
+        p = parse_polynomial("1,1e200,0", "real64")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            f = compose(p, p)
+        assert f.degree == 4 and math.isinf(f[1]) and math.isinf(f[2])
+
+    def test_mixed_and_custom_scalars(self):
+        # (x^2 + 2x)^2 + (x^2 + 2x)/2, every value exact in floats
+        assert compose(P(1, Fraction(1, 2), 0), P(1.0, 2, 0)) == P(1, 4, 4.5, 1, 0)
+        rng = random.Random(43)
+        g = Polynomial([GaussQ(Fraction(rng.randint(-9, 9), 7), rng.randint(-3, 3)) for _ in range(4)])
+        h = Polynomial([GaussQ(rng.randint(-5, 5), Fraction(1, rng.randint(1, 5))) for _ in range(3)])
+        assert compose(g, h) == Polynomial(ref_compose(g, h))
 
 
 class TestSeriesInverse:
@@ -348,6 +454,13 @@ class TestTextFormat:
 
     def test_format_zero(self):
         assert format_polynomial(Polynomial()) == "0"
+
+    @pytest.mark.skipif(not INT_DIGIT_LIMIT, reason="no int-to-str digit limit")
+    def test_too_many_digits_is_a_plain_value_error(self):
+        big = 10**INT_DIGIT_LIMIT
+        for p in (Polynomial([big, 1]), Polynomial([Fraction(1, big), 1])):
+            with pytest.raises(ValueError, match="more digits than can be printed"):
+                format_polynomial(p)
 
 
 class TestAllclose:
