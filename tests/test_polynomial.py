@@ -23,6 +23,10 @@ from polydecomp.polynomial import (
 )
 
 
+# 0 where Python has no int-to-str digit limit (before 3.10.7) or it is off
+INT_DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
 # Reference arithmetic used as the independent oracle: plain schoolbook
 # convolution on coefficient lists, no shortcuts shared with the library.
 def ref_mul(a, b):
@@ -40,10 +44,6 @@ def ref_add(a, b):
     for i, c in enumerate(b):
         out[i] += c
     return out
-
-
-# 0 where Python has no int-to-str digit limit (before 3.10.7) or it is off
-INT_DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
 
 
 def ref_compose(g, h):
