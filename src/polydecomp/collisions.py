@@ -69,15 +69,19 @@ def dickson(k: int, z) -> Polynomial:
     """Degree-k Dickson polynomial (first kind) in the parameter z.
 
     T_0 = 2, T_1 = x, T_k = x*T_{k-1} - z*T_{k-2}; T_k(x, 0) = x^k for k >= 1.
+    Built from the closed form T_k = sum_{j <= k/2} k/(k-j) * C(k-j, j) *
+    (-z)^j * x^(k-2j), in which each k/(k-j) * C(k-j, j) is an integer.
     """
     if k < 0:
         raise ValueError("negative Dickson degree")
     if k == 0:
         return Polynomial([2])
-    t_prev, t = Polynomial([2]), x_power(1)
-    for _ in range(k - 1):
-        t_prev, t = t, Polynomial([0, *t.coeffs]) - z * t_prev  # x*T_(k-1) by a shift
-    return t
+    coeffs = [0] * (k + 1)
+    zj = 1  # (-z)^j
+    for j in range(k // 2 + 1):
+        coeffs[k - 2 * j] = k * math.comb(k - j, j) // (k - j) * zj
+        zj = zj * -z
+    return Polynomial(coeffs)
 
 
 def original_shift(p: Polynomial, a) -> Polynomial:
@@ -110,7 +114,7 @@ def alpha_exp(params: CollisionParams) -> Polynomial:
     t, rem_t = divmod(d * (e - s * d), i * i)
     if rem_k or rem_t:
         raise CollisionParameterError("collision exponents are not integral")
-    core = x_power(t) * compose(w, x_power(k)) ** k
+    core = x_power(t) * compose(x_power(k), compose(w, x_power(k)))  # w(x^k)^k
     f = compose(params.u, compose(original_shift(core, params.a), params.v))
     return require_monic_original(f)
 

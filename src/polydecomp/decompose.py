@@ -2,15 +2,18 @@
 
 The candidate right component h of degree e = n/d (`right_component`) is
 the reverse of the d-th root of the reversed input.  Exact input is decided
-over the integers: with c = lcm(denominators of f) * d^2, F(x) = c^n f(x/c)
-is a monic integer polynomial, and f = g(h) exactly when F = G(H) with
-H(x) = c^e h(x/c) and G(y) = c^n g(y/c^e).  H comes from an integer d-th
-root whose divisions are exact, and G from the generalized Taylor expansion
-of F around the monic H, which stays in the integers and stops at the first
-non-constant coefficient.  Float and complex input are decided by a residual
-instead (Corless, Giesbrecht, Jeffrey & Watt, "Approximate polynomial
-decomposition", ISSAC 1999): linearized least-squares steps polish the
-candidate pair, and f decomposes when the polished |g(h) - f|_inf is at most
+over the integers: with c = c0 * d^2, where every c0^(n-i) f_i is an integer
+and c0 is the least such scale unless a denominator has a prime factor
+above 61 (see `_integer_form`), F(x) = c^n f(x/c) is a monic integer
+polynomial, and f = g(h) exactly when F = G(H) with H(x) = c^e h(x/c) and
+G(y) = c^n g(y/c^e).  c0 is computed once per input and only the d^2 changes
+with the divisor.  H comes from an integer d-th root whose divisions are
+exact, and G from the generalized Taylor expansion of F around the monic H,
+which stays in the integers and stops at the first non-constant coefficient.
+Float and complex input are decided by a residual instead (Corless,
+Giesbrecht, Jeffrey & Watt, "Approximate polynomial decomposition", ISSAC
+1999): linearized least-squares steps polish the candidate pair, and f
+decomposes when the polished |g(h) - f|_inf is at most
 1e-10 * max(1, |f|_inf); see `try_decompose`.
 
 Because h is determined by the e-1 highest coefficients of f and g by the
@@ -145,24 +148,58 @@ def divisor_plan(n: int) -> DivisorPlan:
     )
 
 
-def _integer_components(f: Polynomial, d: int) -> tuple[int, Polynomial, Polynomial]:
-    """(c, F, H): exact f scaled to the monic integer F(x) = c^n f(x/c) with
-    c = lcm(denominators) * d^2, and F's candidate right component H.
+# _integer_form divides the primes below 64 out of the lcm of the
+# denominators; a cofactor they leave goes into the scale whole
+_SMALL_PRIMES = tuple([p for p in range(2, 64) if least_prime_factor(p) == p])
 
-    H is the reverse of the d-th root q of U = reverse(F), from the recurrence
-    d*t*q_t = sum_k ((d+1)k - d*t) U_k q_(t-k).  The division by d*t is exact
-    because d^(2m) * binom(1/d, m) is an integer.
+
+def _integer_form(f: Polynomial) -> tuple[int, list[int]]:
+    """(c0, F0) for exact monic original f: F0_i = c0^(n-i) f_i is an integer.
+
+    c0 is the product of p^max_i ceil(v_p(den f_i) / (n-i)) over the primes
+    p < 64, times the cofactor of the lcm of the denominators that those
+    primes leave.  So c0 divides the lcm, and it is the least scale that
+    clears every denominator when no denominator has a prime factor >= 64.
     """
     require_monic_original(f)
     n = f.degree
-    _require_proper_divisor(n, d)
+    fs = [(a.numerator, a.denominator) for a in f.coeffs]
     # a list, not a generator: see polynomial.compose
-    c = math.lcm(*[a.denominator for a in f.coeffs]) * d * d
+    rest = math.lcm(*[b for _, b in fs])
+    c0 = 1
+    for p in _SMALL_PRIMES:
+        pk = [1]  # p^0, ..., p^v with v = v_p(lcm)
+        while not rest % p:
+            rest //= p
+            pk.append(pk[-1] * p)
+        if len(pk) > 1:
+            v = {q: k for k, q in enumerate(pk)}  # v_p(b) = v[gcd(b, p^v)]
+            need = [-(-v[math.gcd(b, pk[-1])] // (n - i)) for i, (_, b) in enumerate(fs[:n])]
+            c0 *= p ** max(need)
+    c0 *= rest
     powers = [1]
     for _ in range(n):
-        powers.append(powers[-1] * c)
-    F = [a.numerator * (powers[n - i] // a.denominator) for i, a in enumerate(f.coeffs)]
-    u = F[::-1]
+        powers.append(powers[-1] * c0)
+    return c0, [a * (powers[n - i] // b) for i, (a, b) in enumerate(fs)]
+
+
+def _integer_components(form: tuple[int, list[int]], d: int) -> tuple[int, Polynomial, Polynomial]:
+    """(c, F, H) from f's `_integer_form` (c0, F0): the monic integer
+    F(x) = c^n f(x/c) with c = c0 * d^2, and F's candidate right component H.
+
+    F_i = F0_i * d^(2(n-i)).  H is the reverse of the d-th root q of
+    U = reverse(F), from the recurrence d*t*q_t = sum_k ((d+1)k - d*t) U_k q_(t-k).
+    The division by d*t is exact because U_k is c0^k f_(n-k) times d^(2k)
+    and d^(2m) * binom(1/d, m) is an integer; c0 alone clears the
+    denominators, so the d^2 is left whole for the root.
+    """
+    c0, F0 = form
+    n = len(F0) - 1
+    _require_proper_divisor(n, d)
+    u, scale = [], 1  # U_k = F0_(n-k) * d^(2k)
+    for a in reversed(F0):
+        u.append(a * scale)
+        scale *= d * d
     q = [1]
     for t in range(1, n // d):
         s = sum(((d + 1) * k - d * t) * u[k] * q[t - k] for k in range(1, t + 1))
@@ -170,7 +207,7 @@ def _integer_components(f: Polynomial, d: int) -> tuple[int, Polynomial, Polynom
         if r:
             raise ArithmeticError(f"integer d-th root left remainder {r} at t = {t}")
         q.append(qt)
-    return c, Polynomial(F), Polynomial([0, *q[:0:-1], 1])
+    return c0 * d * d, Polynomial(u[::-1]), Polynomial([0, *q[:0:-1], 1])
 
 
 def _unscale(P: Polynomial, c: int) -> Polynomial:
@@ -193,7 +230,7 @@ def right_component(f: Polynomial, d: int) -> Polynomial:
     candidate of `series_dth_root`, which `try_decompose` then polishes.
     """
     if f.is_exact():
-        c, _, H = _integer_components(f, d)
+        c, _, H = _integer_components(_integer_form(f), d)
         return _unscale(H, c)
     require_monic_original(f)
     n = f.degree
@@ -222,13 +259,18 @@ def try_decompose(f: Polynomial, d: int) -> Decomposition | None:
         if not all(map(cmath.isfinite, f.coeffs)):
             raise ValueError("polynomial coefficients must be finite")
         return _polished(f, right_component(f, d), d)
-    c, f, h = _integer_components(f, d)
+    return _exact_decomposition(_integer_form(f), d)
+
+
+def _exact_decomposition(form: tuple[int, list[int]], d: int) -> Decomposition | None:
+    """The exact half of `try_decompose`, from f's `_integer_form`."""
+    c, F, H = _integer_components(form, d)
     g = []
-    for gi in _taylor_terms(f, h, d):
+    for gi in _taylor_terms(F, H, d):
         if gi.degree > 0:
             return None
         g.append(gi[0])
-    return Decomposition(g=_unscale(Polynomial(g), c ** h.degree), h=_unscale(h, c))
+    return Decomposition(g=_unscale(Polynomial(g), c ** H.degree), h=_unscale(H, c))
 
 
 def _polished(f: Polynomial, h: Polynomial, d: int) -> Decomposition | None:
@@ -246,7 +288,8 @@ def _polished(f: Polynomial, h: Polynomial, d: int) -> Decomposition | None:
     def powers(h):  # row i is h^i, padded to n + 1 coefficients
         p = np.zeros((d + 1, n + 1), dtype=dtype)
         p[0, 0] = 1
-        for i in range(1, d + 1):
+        p[1, : e + 1] = h
+        for i in range(2, d + 1):
             p[i, : i * e + 1] = np.convolve(p[i - 1, : (i - 1) * e + 1], h)
         return p
 
@@ -285,16 +328,19 @@ def _polished(f: Polynomial, h: Polynomial, d: int) -> Decomposition | None:
 def is_decomposable(f: Polynomial) -> list[tuple[int, Decomposition]]:
     """All proper divisors d at which f decomposes, ascending, with witnesses.
 
-    Empty for prime or tiny degree (nothing decomposes there).  Float input
-    follows the rules of `try_decompose`, whose ValueError propagates.
+    Empty for prime or tiny degree (nothing decomposes there).  Exact input
+    is brought to its `_integer_form` once and only rescaled per divisor;
+    float input follows the rules of `try_decompose`, whose ValueError
+    propagates.
     """
     require_monic_original(f)
     n = f.degree
     if not is_composite(n):
         return []
+    form = _integer_form(f) if f.is_exact() else None
     found = []
     for d in proper_divisors(n):
-        dec = try_decompose(f, d)
+        dec = try_decompose(f, d) if form is None else _exact_decomposition(form, d)
         if dec is not None:
             found.append((d, dec))
     return found

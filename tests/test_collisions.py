@@ -13,6 +13,7 @@ from polydecomp.collisions import (
     verify_bidecomposable,
 )
 from polydecomp.polynomial import Polynomial, compose, x_power
+from test_batched import GaussQ
 
 
 def P(*descending):
@@ -32,7 +33,41 @@ def rand_scalar(rng):
     return Fraction(rng.randint(-5, 5), rng.randint(1, 3))
 
 
+def dickson_recurrence(z, k_max):
+    """T_0, ..., T_k_max from T_0 = 2, T_1 = x, T_k = x*T_(k-1) - z*T_(k-2):
+    the oracle for `dickson`."""
+    ts = [Polynomial([2]), x_power(1)]
+    while len(ts) <= k_max:
+        ts.append(Polynomial([0, *ts[-1].coeffs]) - ts[-2] * z)
+    return ts
+
+
 class TestDickson:
+    @pytest.mark.parametrize(
+        "z",
+        [0, 3, -2, Fraction(-7, 5), Fraction(2, 9), GaussQ(Fraction(1, 2), Fraction(-3, 4))],
+        ids=["0", "3", "-2", "-7/5", "2/9", "gauss"],
+    )
+    def test_closed_form_equals_recurrence(self, z):
+        for k, t in enumerate(dickson_recurrence(z, 64)):
+            assert dickson(k, z) == t
+
+    def test_float_within_rounding_of_exact(self):
+        # coefficient x^(k-2j) is an integer below 2^53 times (-z)^j, built by
+        # j + 1 rounded products: relative error at most (j+1)u/(1-(j+1)u)
+        u = 2.0**-53
+        rng = random.Random(42)
+        for _ in range(60):
+            k, z = rng.randint(1, 64), rng.uniform(-2, 2)
+            got, exact = dickson(k, z), dickson(k, Fraction(z))
+            assert got.degree == k
+            for i in range(k + 1):
+                j, odd = divmod(k - i, 2)
+                if odd:
+                    assert got[i] == 0
+                else:
+                    assert abs(Fraction(got[i]) - exact[i]) <= (j + 2) * u * abs(exact[i])
+
     def test_zero_parameter_gives_pure_powers(self):
         for k in range(1, 10):
             assert dickson(k, 0) == x_power(k)

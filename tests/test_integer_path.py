@@ -1,13 +1,20 @@
 """Exact decomposition over the integers, checked against sympy and by call counts."""
 
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
 from polydecomp import decompose, polynomial
-from polydecomp.decompose import Decomposition, is_decomposable, try_decompose
-from polydecomp.polynomial import Polynomial, compose
+from polydecomp.decompose import (
+    Decomposition,
+    is_decomposable,
+    proper_divisors,
+    right_component,
+    try_decompose,
+)
+from polydecomp.polynomial import Polynomial, compose, series_dth_root
 
 
 def rand_monic_original(rng, deg, den=7):
@@ -49,7 +56,7 @@ class TestSympyOracle:
         e = n // d
         g, h = rand_monic_original(rng, d), rand_monic_original(rng, e)
         f = compose(g, h)
-        c, F, H = decompose._integer_components(f, d)
+        c, F, H = decompose._integer_components(decompose._integer_form(f), d)
         assert all(isinstance(a, int) for a in (*F, *H))
 
         def scaled(p, power, arg):
@@ -59,6 +66,95 @@ class TestSympyOracle:
         assert scaled(f, c**n, x / c) == self.poly(sympy, F, x)
         assert scaled(h, c**e, x / c) == self.poly(sympy, H, x)
         assert scaled(g, c**n, x / c**e).compose(self.poly(sympy, H, x)) == self.poly(sympy, F, x)
+
+
+M61 = 2**61 - 1  # a prime far above the bound of the scale's trial division
+
+
+def rand_with_denominators(rng, deg, dens):
+    middle = [Fraction(rng.randint(-9, 9), rng.choice(dens)) for _ in range(deg - 1)]
+    return Polynomial([0, *middle, 1])
+
+
+def clears(c0, f):
+    """True when every c0^(n-i) f_i is an integer."""
+    n = f.degree
+    return all((c0 ** (n - i) * Fraction(a)).denominator == 1 for i, a in enumerate(f.coeffs))
+
+
+def lcm_of_denominators(f):
+    return math.lcm(*[Fraction(a).denominator for a in f.coeffs])
+
+
+class TestScale:
+    """c = c0 * d^2, with c0 from `decompose._integer_form`."""
+
+    def test_primes_above_the_bound_go_in_whole(self):
+        # 2^6 at x^1 needs only 2^ceil(6/11); 97^4 there would need only 97,
+        # but primes >= 64 are not divided out of the lcm
+        n = 12
+        f = Polynomial([0, Fraction(1, 2**6 * 97**4), *[0] * 9, Fraction(3, M61), 1])
+        c0, F0 = decompose._integer_form(f)
+        assert c0 == 2 * 97**4 * M61
+        assert all(type(a) is int for a in F0)
+        assert F0 == [c0 ** (n - i) * a for i, a in enumerate(f.coeffs)]
+        c, F, _ = decompose._integer_components((c0, F0), 3)
+        assert c == 9 * c0
+        assert F.coeffs == tuple(c ** (n - i) * a for i, a in enumerate(f.coeffs))
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_minimal_on_smooth_denominators(self, seed):
+        rng = random.Random(seed)
+        n, d = rng.choice([(12, 2), (12, 4), (24, 6), (30, 5), (36, 6), (60, 4)])
+        dens = [2**k * 3**m * q for k in range(7) for m in range(4) for q in (1, 5**3, 7**2, 61**3)]
+        f = rand_with_denominators(rng, n, dens)
+        c, _, _ = decompose._integer_components(decompose._integer_form(f), d)
+        c0, rem = divmod(c, d * d)
+        assert rem == 0 and clears(c0, f)
+        primes = [p for p in (2, 3, 5, 7, 61) if c0 % p == 0]
+        assert primes
+        for p in primes:
+            assert not clears(c0 // p, f)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_never_above_lcm_times_d_squared(self, seed):
+        rng = random.Random(100 + seed)
+        n = rng.choice([12, 24, 30, 36])
+        dens = [1, 2, 4, 9, 25, 6, 97, 97**3, 2 * M61, 128]
+        f = rand_with_denominators(rng, n, dens)
+        form = decompose._integer_form(f)
+        for d in proper_divisors(n):
+            c, _, _ = decompose._integer_components(form, d)
+            assert (lcm_of_denominators(f) * d * d) % c == 0
+
+    @pytest.mark.parametrize("n", [12, 24, 36])
+    def test_no_remainder_when_denominators_share_primes_with_d(self, n):
+        # the root's divisions are exact because c0 alone clears every
+        # denominator and d^2 is left whole; the rational series root is the oracle
+        rng = random.Random(n)
+        for _ in range(4):
+            f = rand_with_denominators(rng, n, [2, 3, 4, 6, 8, 9, 12, 16, 27, 32])
+            assert is_decomposable(f) == []
+            for d in proper_divisors(n):
+                e = n // d
+                root = series_dth_root(Polynomial([1, *(f[n - j] for j in range(1, e))]), d, e)
+                expected = Polynomial([0, *(root[e - j] for j in range(1, e)), 1])
+                assert right_component(f, d) == expected
+
+    @pytest.mark.parametrize("n,d", [(12, 2), (12, 3), (12, 4), (12, 6), (24, 4), (30, 5)])
+    def test_witnesses_match_sympy_with_large_and_shared_primes(self, n, d):
+        sympy = pytest.importorskip("sympy")
+        x = sympy.Symbol("x")
+        poly = TestSympyOracle.poly
+        rng = random.Random(3000 * n + d)
+        dens = [1, d, d * d, 2 * d, 97, M61, 4 * 97]
+        g, h = rand_with_denominators(rng, d, dens), rand_with_denominators(rng, n // d, dens)
+        f_sym = poly(sympy, g, x).compose(poly(sympy, h, x))
+        f = Polynomial([Fraction(int(a.p), int(a.q)) for a in reversed(f_sym.all_coeffs())])
+        found = dict(is_decomposable(f))
+        assert found[d] == Decomposition(g=g, h=h)
+        for dec in found.values():
+            assert poly(sympy, dec.g, x).compose(poly(sympy, dec.h, x)) == f_sym
 
 
 def test_exact_input_never_runs_the_float_polish(monkeypatch):
