@@ -6,8 +6,7 @@ over the integers: with c = c0 * d^2, where every c0^(n-i) f_i is an integer
 and c0 is the least such scale unless a denominator has a prime factor
 above 61 (see `_integer_form`), F(x) = c^n f(x/c) is a monic integer
 polynomial, and f = g(h) exactly when F = G(H) with H(x) = c^e h(x/c) and
-G(y) = c^n g(y/c^e).  c0 is computed once per input and only the d^2 changes
-with the divisor.  H comes from an integer d-th root whose divisions are
+G(y) = c^n g(y/c^e).  H comes from an integer d-th root whose divisions are
 exact, and G from the generalized Taylor expansion of F around the monic H,
 which stays in the integers and stops at the first non-constant coefficient.
 Float and complex input are decided by a residual instead (Corless,
@@ -183,18 +182,19 @@ def _integer_form(f: Polynomial) -> tuple[int, list[int]]:
     return c0, [a * (powers[n - i] // b) for i, (a, b) in enumerate(fs)]
 
 
-def _integer_components(form: tuple[int, list[int]], d: int) -> tuple[int, Polynomial, Polynomial]:
-    """(c, F, H) from f's `_integer_form` (c0, F0): the monic integer
+def _integer_components(f: Polynomial, d: int) -> tuple[int, Polynomial, Polynomial]:
+    """(c, F, H) for exact monic original f: the monic integer
     F(x) = c^n f(x/c) with c = c0 * d^2, and F's candidate right component H.
 
-    F_i = F0_i * d^(2(n-i)).  H is the reverse of the d-th root q of
-    U = reverse(F), from the recurrence d*t*q_t = sum_k ((d+1)k - d*t) U_k q_(t-k).
-    The division by d*t is exact because U_k is c0^k f_(n-k) times d^(2k)
-    and d^(2m) * binom(1/d, m) is an integer; c0 alone clears the
-    denominators, so the d^2 is left whole for the root.
+    F_i = F0_i * d^(2(n-i)) with (c0, F0) = `_integer_form(f)`.  H is the
+    reverse of the d-th root q of U = reverse(F), from the recurrence
+    d*t*q_t = sum_k ((d+1)k - d*t) U_k q_(t-k).  The division by d*t is
+    exact because U_k is c0^k f_(n-k) times d^(2k) and d^(2m) * binom(1/d, m)
+    is an integer; c0 alone clears the denominators, so the d^2 is left
+    whole for the root.
     """
-    c0, F0 = form
-    n = len(F0) - 1
+    c0, F0 = _integer_form(f)
+    n = f.degree
     _require_proper_divisor(n, d)
     u, scale = [], 1  # U_k = F0_(n-k) * d^(2k)
     for a in reversed(F0):
@@ -213,7 +213,8 @@ def _integer_components(form: tuple[int, list[int]], d: int) -> tuple[int, Polyn
 def _unscale(P: Polynomial, c: int) -> Polynomial:
     """The monic original p with P(x) = c^k p(x/c), k = deg P.
 
-    A zero coefficient stays int 0, as it reads off a zero Taylor remainder.
+    P's coefficients are integers or Fractions.  A zero coefficient stays
+    int 0, as it reads off a zero Taylor remainder.
     """
     k = P.degree
     mid = (Fraction(a, c ** (k - i)) if a else 0 for i, a in enumerate(P.coeffs[1:k], 1))
@@ -230,7 +231,7 @@ def right_component(f: Polynomial, d: int) -> Polynomial:
     candidate of `series_dth_root`, which `try_decompose` then polishes.
     """
     if f.is_exact():
-        c, _, H = _integer_components(_integer_form(f), d)
+        c, _, H = _integer_components(f, d)
         return _unscale(H, c)
     require_monic_original(f)
     n = f.degree
@@ -259,18 +260,13 @@ def try_decompose(f: Polynomial, d: int) -> Decomposition | None:
         if not all(map(cmath.isfinite, f.coeffs)):
             raise ValueError("polynomial coefficients must be finite")
         return _polished(f, right_component(f, d), d)
-    return _exact_decomposition(_integer_form(f), d)
-
-
-def _exact_decomposition(form: tuple[int, list[int]], d: int) -> Decomposition | None:
-    """The exact half of `try_decompose`, from f's `_integer_form`."""
-    c, F, H = _integer_components(form, d)
+    c, f, h = _integer_components(f, d)
     g = []
-    for gi in _taylor_terms(F, H, d):
+    for gi in _taylor_terms(f, h, d):
         if gi.degree > 0:
             return None
         g.append(gi[0])
-    return Decomposition(g=_unscale(Polynomial(g), c ** H.degree), h=_unscale(H, c))
+    return Decomposition(g=_unscale(Polynomial(g), c ** h.degree), h=_unscale(h, c))
 
 
 def _polished(f: Polynomial, h: Polynomial, d: int) -> Decomposition | None:
@@ -329,19 +325,25 @@ def is_decomposable(f: Polynomial) -> list[tuple[int, Decomposition]]:
     """All proper divisors d at which f decomposes, ascending, with witnesses.
 
     Empty for prime or tiny degree (nothing decomposes there).  Exact input
-    is brought to its `_integer_form` once and only rescaled per divisor;
-    float input follows the rules of `try_decompose`, whose ValueError
-    propagates.
+    is brought to the monic integer c0^n f(x/c0) of `_integer_form` once;
+    `try_decompose` decides that at each divisor, and a witness (G, H) is
+    scaled back to g(y) = c0^-n G(c0^e y), h(x) = c0^-e H(c0 x).  Float
+    input follows the rules of `try_decompose`, whose ValueError propagates.
     """
     require_monic_original(f)
     n = f.degree
     if not is_composite(n):
         return []
-    form = _integer_form(f) if f.is_exact() else None
+    c0 = None
+    if f.is_exact():
+        c0, F0 = _integer_form(f)
+        f = Polynomial(F0)
     found = []
     for d in proper_divisors(n):
-        dec = try_decompose(f, d) if form is None else _exact_decomposition(form, d)
+        dec = try_decompose(f, d)
         if dec is not None:
+            if c0 is not None:
+                dec = Decomposition(g=_unscale(dec.g, c0 ** (n // d)), h=_unscale(dec.h, c0))
             found.append((d, dec))
     return found
 

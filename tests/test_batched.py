@@ -9,57 +9,7 @@ from polydecomp.decompose import is_composite, nt_set, proper_divisors, section
 from polydecomp.polynomial import Polynomial, compose, series_dth_root
 
 
-class GaussQ:
-    """Exact complex rational re + im*i with Fraction parts: a field in
-    which the scalar section runs without any rounding."""
-
-    def __init__(self, re, im=0):
-        self.re, self.im = Fraction(re), Fraction(im)
-
-    @staticmethod
-    def of(x):
-        return x if isinstance(x, GaussQ) else GaussQ(x)
-
-    def __add__(self, other):
-        o = GaussQ.of(other)
-        return GaussQ(self.re + o.re, self.im + o.im)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return GaussQ(-self.re, -self.im)
-
-    def __sub__(self, other):
-        return self + -GaussQ.of(other)
-
-    def __rsub__(self, other):
-        return GaussQ.of(other) - self
-
-    def __mul__(self, other):
-        o = GaussQ.of(other)
-        return GaussQ(self.re * o.re - self.im * o.im, self.re * o.im + self.im * o.re)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        o = GaussQ.of(other)
-        norm = o.re * o.re + o.im * o.im
-        return self * GaussQ(o.re / norm, -o.im / norm)
-
-    def __rtruediv__(self, other):
-        return GaussQ.of(other) / self
-
-    def __eq__(self, other):
-        o = GaussQ.of(other)
-        return self.re == o.re and self.im == o.im
-
-    __hash__ = None
-
-    def __complex__(self):
-        return complex(float(self.re), float(self.im))
-
-
-def exact_section_row(b_values, n, d):
+def exact_section_row(b_values, n, d, gaussq):
     """The section at the same float (or complex) input in exact arithmetic.
 
     Fraction(float) is exact, and `section` runs the same kernel as
@@ -69,9 +19,9 @@ def exact_section_row(b_values, n, d):
     """
     ns = nt_set(n, d)
     if np.iscomplexobj(b_values):
-        b = {i: GaussQ(v.real, v.imag) for i, v in zip(ns.nt, b_values)}
+        b = {i: gaussq(v.real, v.imag) for i, v in zip(ns.nt, b_values)}
         f = section(b, n, d)
-        return np.array([complex(GaussQ.of(f[i])) for i in range(1, n)])
+        return np.array([complex(gaussq.of(f[i])) for i in range(1, n)])
     b = {i: Fraction(float(v)) for i, v in zip(ns.nt, b_values)}
     f = section(b, n, d)
     return np.array([float(f[i]) for i in range(1, n)])
@@ -129,7 +79,7 @@ class TestSectionBatch:
     @pytest.mark.parametrize(
         "n,d", [(4, 2), (6, 2), (6, 3), (9, 3), (12, 4), (20, 5), (30, 5), (64, 8)]
     )
-    def test_agrees_with_exact_section(self, n, d):
+    def test_agrees_with_exact_section(self, n, d, gaussq):
         rng = random.Random(100 * n + d)
         ns = nt_set(n, d)
         rows = np.array(
@@ -138,7 +88,7 @@ class TestSectionBatch:
         got = section_batch(rows, n, d)
         assert got.shape == (8, n - 1) and got.dtype == np.float64
         for r in range(rows.shape[0]):
-            assert_close_to_exact(got[r], exact_section_row(rows[r], n, d), 1e-13)
+            assert_close_to_exact(got[r], exact_section_row(rows[r], n, d, gaussq), 1e-13)
 
     @pytest.mark.parametrize("n,d,field", [(20, 5, "real"), (64, 8, "real"), (12, 3, "complex")])
     def test_block_equals_rows_one_at_a_time(self, n, d, field):
@@ -157,7 +107,7 @@ class TestSectionBatch:
                 # vectorized loop and its scalar tail
                 assert_close_to_exact(block[r], alone, 1e-14)
 
-    def test_all_divisors_up_to_16(self):
+    def test_all_divisors_up_to_16(self, gaussq):
         rng = np.random.default_rng(5)
         for n in range(4, 17):
             if not is_composite(n):
@@ -167,7 +117,7 @@ class TestSectionBatch:
                 rows = rng.uniform(-1, 1, size=(3, len(ns.nt)))
                 got = section_batch(rows, n, d)
                 for r in range(3):
-                    want = exact_section_row(rows[r], n, d)
+                    want = exact_section_row(rows[r], n, d, gaussq)
                     assert np.allclose(got[r], want, atol=1e-8), (n, d)
 
     def test_dyadic_compositions_match_compose(self):
@@ -206,7 +156,7 @@ class TestSectionBatch:
         with pytest.raises(ValueError, match="2-D"):
             section_batch(np.array(coords), 6, 2)
 
-    def test_complex_agrees_with_exact(self):
+    def test_complex_agrees_with_exact(self, gaussq):
         # (12, 3) is the benchmark's complex shape; the oracle runs the
         # scalar section over Gaussian rationals
         rng = np.random.default_rng(17)
@@ -216,4 +166,4 @@ class TestSectionBatch:
             got = section_batch(rows, n, d)
             assert got.shape == (8, n - 1) and got.dtype == np.complex128
             for r in range(rows.shape[0]):
-                assert_close_to_exact(got[r], exact_section_row(rows[r], n, d), 1e-13)
+                assert_close_to_exact(got[r], exact_section_row(rows[r], n, d, gaussq), 1e-13)

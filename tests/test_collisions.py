@@ -13,7 +13,6 @@ from polydecomp.collisions import (
     verify_bidecomposable,
 )
 from polydecomp.polynomial import Polynomial, compose, x_power
-from test_batched import GaussQ
 
 
 def P(*descending):
@@ -44,11 +43,12 @@ def dickson_recurrence(z, k_max):
 
 class TestDickson:
     @pytest.mark.parametrize(
-        "z",
-        [0, 3, -2, Fraction(-7, 5), Fraction(2, 9), GaussQ(Fraction(1, 2), Fraction(-3, 4))],
+        "re,im",
+        [(0, 0), (3, 0), (-2, 0), (Fraction(-7, 5), 0), (Fraction(2, 9), 0), (Fraction(1, 2), Fraction(-3, 4))],
         ids=["0", "3", "-2", "-7/5", "2/9", "gauss"],
     )
-    def test_closed_form_equals_recurrence(self, z):
+    def test_closed_form_equals_recurrence(self, re, im, gaussq):
+        z = gaussq(re, im) if im else re
         for k, t in enumerate(dickson_recurrence(z, 64)):
             assert dickson(k, z) == t
 

@@ -56,7 +56,7 @@ class TestSympyOracle:
         e = n // d
         g, h = rand_monic_original(rng, d), rand_monic_original(rng, e)
         f = compose(g, h)
-        c, F, H = decompose._integer_components(decompose._integer_form(f), d)
+        c, F, H = decompose._integer_components(f, d)
         assert all(isinstance(a, int) for a in (*F, *H))
 
         def scaled(p, power, arg):
@@ -98,7 +98,7 @@ class TestScale:
         assert c0 == 2 * 97**4 * M61
         assert all(type(a) is int for a in F0)
         assert F0 == [c0 ** (n - i) * a for i, a in enumerate(f.coeffs)]
-        c, F, _ = decompose._integer_components((c0, F0), 3)
+        c, F, _ = decompose._integer_components(f, 3)
         assert c == 9 * c0
         assert F.coeffs == tuple(c ** (n - i) * a for i, a in enumerate(f.coeffs))
 
@@ -108,7 +108,7 @@ class TestScale:
         n, d = rng.choice([(12, 2), (12, 4), (24, 6), (30, 5), (36, 6), (60, 4)])
         dens = [2**k * 3**m * q for k in range(7) for m in range(4) for q in (1, 5**3, 7**2, 61**3)]
         f = rand_with_denominators(rng, n, dens)
-        c, _, _ = decompose._integer_components(decompose._integer_form(f), d)
+        c, _, _ = decompose._integer_components(f, d)
         c0, rem = divmod(c, d * d)
         assert rem == 0 and clears(c0, f)
         primes = [p for p in (2, 3, 5, 7, 61) if c0 % p == 0]
@@ -122,9 +122,8 @@ class TestScale:
         n = rng.choice([12, 24, 30, 36])
         dens = [1, 2, 4, 9, 25, 6, 97, 97**3, 2 * M61, 128]
         f = rand_with_denominators(rng, n, dens)
-        form = decompose._integer_form(f)
         for d in proper_divisors(n):
-            c, _, _ = decompose._integer_components(form, d)
+            c, _, _ = decompose._integer_components(f, d)
             assert (lcm_of_denominators(f) * d * d) % c == 0
 
     @pytest.mark.parametrize("n", [12, 24, 36])
@@ -140,6 +139,21 @@ class TestScale:
                 root = series_dth_root(Polynomial([1, *(f[n - j] for j in range(1, e))]), d, e)
                 expected = Polynomial([0, *(root[e - j] for j in range(1, e)), 1])
                 assert right_component(f, d) == expected
+
+    @pytest.mark.parametrize("n", [12, 24, 36])
+    def test_integer_form_decides_as_try_decompose_does(self, n):
+        # is_decomposable tries each divisor on c0^n f(x/c0) and scales the
+        # witnesses back; each result, Fraction and int 0 alike, is the one
+        # try_decompose gives on f itself
+        rng = random.Random(400 + n)
+        dens = [1, 2, 9, 97, 4 * 97, M61]
+        for d in proper_divisors(n):
+            g, h = rand_with_denominators(rng, d, dens), rand_with_denominators(rng, n // d, dens)
+            f = compose(g, h)
+            expected = [(k, try_decompose(f, k)) for k in proper_divisors(n)]
+            found = is_decomposable(f)
+            assert (d, Decomposition(g=g, h=h)) in found
+            assert repr(found) == repr([(k, dec) for k, dec in expected if dec is not None])
 
     @pytest.mark.parametrize("n,d", [(12, 2), (12, 3), (12, 4), (12, 6), (24, 4), (30, 5)])
     def test_witnesses_match_sympy_with_large_and_shared_primes(self, n, d):

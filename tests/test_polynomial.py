@@ -54,46 +54,6 @@ def ref_compose(g, h):
     return acc
 
 
-class GaussQ:
-    """Exact Gaussian rational re + im*i, with Fraction parts: the exact
-    value of a float or complex, and a scalar type `compose` treats as
-    neither exact nor floating."""
-
-    def __init__(self, re, im=0):
-        self.re, self.im = Fraction(re), Fraction(im)
-
-    @staticmethod
-    def of(x):
-        if isinstance(x, GaussQ):
-            return x
-        return GaussQ(x.real, x.imag) if isinstance(x, complex) else GaussQ(x)
-
-    def __add__(self, other):
-        o = GaussQ.of(other)
-        return GaussQ(self.re + o.re, self.im + o.im)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = GaussQ.of(other)
-        return GaussQ(self.re - o.re, self.im - o.im)
-
-    def __mul__(self, other):
-        o = GaussQ.of(other)
-        return GaussQ(self.re * o.re - self.im * o.im, self.re * o.im + self.im * o.re)
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other):
-        o = GaussQ.of(other)
-        return self.re == o.re and self.im == o.im
-
-    __hash__ = None
-
-    def norm(self):
-        return self.re * self.re + self.im * self.im
-
-
 def P(*descending):
     return Polynomial(reversed(descending))
 
@@ -230,7 +190,7 @@ class TestCompose:
         assert [type(c) for c in compose(Polynomial([Fraction(6, 2)]), P(1, 0))] == [int]
         assert compose(Polynomial(), P(Fraction(1, 2), 0)) == Polynomial()
 
-    def test_float_and_complex_match_horner(self):
+    def test_float_and_complex_match_horner(self, gaussq):
         # oracle: Horner in exact arithmetic on the exact values of the floats
         # (Gaussian rationals, which hold real input too); coefficient i must
         # lie within 2*n*u*(|g| o |h|)_i, with |g| o |h| exact as well
@@ -246,11 +206,11 @@ class TestCompose:
             for right in (h, hc):
                 f = compose(g, right)
                 n = f.degree
-                exact = ref_compose(map(GaussQ.of, g), map(GaussQ.of, right))
+                exact = ref_compose(map(gaussq.of, g), map(gaussq.of, right))
                 size = ref_compose(map(modulus, g), map(modulus, right))
                 assert n == len(exact) - 1 == g.degree * right.degree
                 for fi, ei, si in zip(f, exact, size):
-                    assert (GaussQ.of(fi) - ei).norm() <= (2 * n * u * si) ** 2
+                    assert (gaussq.of(fi) - ei).norm() <= (2 * n * u * si) ** 2
 
     def test_big_integers_match_sympy(self):
         sympy = pytest.importorskip("sympy")
@@ -284,12 +244,12 @@ class TestCompose:
             f = compose(p, p)
         assert f.degree == 4 and math.isinf(f[1]) and math.isinf(f[2])
 
-    def test_mixed_and_custom_scalars(self):
+    def test_mixed_and_custom_scalars(self, gaussq):
         # (x^2 + 2x)^2 + (x^2 + 2x)/2, every value exact in floats
         assert compose(P(1, Fraction(1, 2), 0), P(1.0, 2, 0)) == P(1, 4, 4.5, 1, 0)
         rng = random.Random(43)
-        g = Polynomial([GaussQ(Fraction(rng.randint(-9, 9), 7), rng.randint(-3, 3)) for _ in range(4)])
-        h = Polynomial([GaussQ(rng.randint(-5, 5), Fraction(1, rng.randint(1, 5))) for _ in range(3)])
+        g = Polynomial([gaussq(Fraction(rng.randint(-9, 9), 7), rng.randint(-3, 3)) for _ in range(4)])
+        h = Polynomial([gaussq(rng.randint(-5, 5), Fraction(1, rng.randint(1, 5))) for _ in range(3)])
         assert compose(g, h) == Polynomial(ref_compose(g, h))
 
 
