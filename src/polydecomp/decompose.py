@@ -334,7 +334,7 @@ def is_decomposable(f: Polynomial) -> list[tuple[int, Decomposition]]:
     n = f.degree
     if not is_composite(n):
         return []
-    c0 = None
+    c0 = 1
     if f.is_exact():
         c0, F0 = _integer_form(f)
         f = Polynomial(F0)
@@ -342,7 +342,7 @@ def is_decomposable(f: Polynomial) -> list[tuple[int, Decomposition]]:
     for d in proper_divisors(n):
         dec = try_decompose(f, d)
         if dec is not None:
-            if c0 is not None:
+            if c0 != 1:
                 dec = Decomposition(g=_unscale(dec.g, c0 ** (n // d)), h=_unscale(dec.h, c0))
             found.append((d, dec))
     return found
