@@ -65,6 +65,14 @@ def _section(coords: np.ndarray, d: int) -> tuple[np.ndarray, list]:
         p = np.zeros((e * j + 1, tmp.size), dtype=coords.dtype)
         for m in range(j, e * j + 1):
             lo, hi = max(1, m - top), min(e, m - j + 1)
+            if coords.dtype == np.float64:
+                # one pass over the terms i < e, summed in ascending i
+                hh = min(hi, e - 1)
+                if hh >= lo:
+                    np.einsum("ij,ij->j", prev[m - hh : m - lo + 1][::-1], h[lo : hh + 1], out=p[m])
+                if hi == e:
+                    p[m] += prev[m - e]
+                continue
             np.multiply(prev[m - lo], h[lo], out=p[m])
             for i in range(lo + 1, hi + 1):
                 if i == e:
@@ -91,8 +99,10 @@ def section_batch(nt_coords: np.ndarray, n: int, d: int) -> np.ndarray:
 
     ``nt_coords`` has one column per index of nt_set(n, d).nt in ascending
     index order, i.e. [f_e, f_2e, ..., f_{(d-1)e}, f_{n-e+1}, ..., f_{n-1}];
-    d must be a proper divisor of n, as nt_set checks.
+    d must be a proper divisor of n.
     """
+    if not (1 < d < n and n % d == 0):
+        raise ValueError(f"{d} is not a proper divisor of {n}")
     e = n // d
     nt_coords = np.asarray(nt_coords)
     if nt_coords.ndim != 2 or nt_coords.shape[1] != d + e - 2:

@@ -202,8 +202,9 @@ class _SectionModel:
         self.dep_cols = np.array([i - 1 for i in ns.complement])
 
     def predict(self, free: np.ndarray) -> np.ndarray:
-        full = section_batch(free, self.n, self.d)
-        return full[:, self.dep_cols]
+        # section_batch's output transposes a coefficient-major array, so its
+        # complement coefficients are a gather of contiguous rows
+        return section_batch(free, self.n, self.d).T[self.dep_cols]
 
 
 class _SubspaceModel:
@@ -217,7 +218,7 @@ class _SubspaceModel:
         self.dep_cols = np.arange(k, n)
 
     def predict(self, free: np.ndarray) -> np.ndarray:
-        return np.zeros((free.shape[0], len(self.dep_cols)), dtype=free.dtype)
+        return np.zeros((len(self.dep_cols), free.shape[0]), dtype=free.dtype)
 
 
 def _block_rng(seed: int, index: int) -> np.random.Generator:
@@ -307,7 +308,7 @@ def _estimate(models, field, epsilon, B, samples, seed, mode, threads) -> Estima
                 tile = a[lo : lo + _TILE]
                 for model in models:
                     pred = predict(model, tile[:, model.free_cols])
-                    inside = (np.abs(tile[:, model.dep_cols] - pred) < epsilon).all(axis=1)
+                    inside = (np.abs(tile[:, model.dep_cols].T - pred) < epsilon).all(axis=0)
                     member[lo : lo + _TILE] |= inside
             hits = float(np.count_nonzero(member))
             return hits, hits  # sums of x and of x * x, equal for indicators
@@ -321,15 +322,29 @@ def _estimate(models, field, epsilon, B, samples, seed, mode, threads) -> Estima
             x = np.empty(size)
             for lo in range(0, size, _TILE):
                 pred = predict(model, free[lo : lo + _TILE])
+                xt = x[lo : lo + _TILE]
                 if field == "real":
                     # overlap of (pred-eps, pred+eps) with (-B, B), written so
-                    # the unclipped case is exactly 2*eps
-                    over_hi = np.maximum(pred + epsilon - B, 0.0)
-                    over_lo = np.maximum(-(pred - epsilon) - B, 0.0)
-                    w = np.clip(2.0 * epsilon - over_hi - over_lo, 0.0, None) / (2.0 * B)
+                    # the unclipped case is exactly 2*eps; one complement
+                    # coefficient at a time, multiplied in ascending order
+                    w, over_lo = np.empty(xt.size), np.empty(xt.size)
+                    xt.fill(1.0)
+                    for row in pred:
+                        np.add(row, epsilon, out=w)
+                        w -= B
+                        np.maximum(w, 0.0, out=w)  # over_hi
+                        np.subtract(row, epsilon, out=over_lo)
+                        np.negative(over_lo, out=over_lo)
+                        over_lo -= B
+                        np.maximum(over_lo, 0.0, out=over_lo)
+                        np.subtract(2.0 * epsilon, w, out=w)
+                        w -= over_lo
+                        np.maximum(w, 0.0, out=w)
+                        w /= 2.0 * B
+                        xt *= w
                 else:
                     w = disk_overlap_area(np.abs(pred), epsilon, B) / (math.pi * B * B)
-                x[lo : lo + _TILE] = w.prod(axis=1)
+                    w.prod(axis=0, out=xt)
             return float(x.sum()), float((x * x).sum())
 
     total, total_sq = _run_blocks(samples, seed, worker, threads or 1)

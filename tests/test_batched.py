@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 
@@ -167,3 +168,39 @@ class TestSectionBatch:
             assert got.shape == (8, n - 1) and got.dtype == np.complex128
             for r in range(rows.shape[0]):
                 assert_close_to_exact(got[r], exact_section_row(rows[r], n, d, gaussq), 1e-13)
+
+    @pytest.mark.parametrize(
+        "n,d,field,rows,sha256",
+        [
+            # recorded before the float64 power rows moved to einsum, whose
+            # summation order numpy does not document; 8,197 rows leave a
+            # ragged tail after any SIMD width
+            (20, 5, "real", 1, "ebc14fee8fe849826012dc5791c8e99f65628d63e18b5153a89ea87310e581e8"),
+            (20, 5, "real", 3, "b521f7f34901e2166e93827920a17b749e334613b9ad93320b52bdd0c2ccc036"),
+            (20, 5, "real", 8197, "28eb4aa342048cfb643226ceca8f5145f19e15e9f29d1172694c50d4daf112f0"),
+            (64, 8, "real", 1, "a512876d0a4e3a2f42b33573e77b70c0dd760c90176573d48d341756eba62cf6"),
+            (64, 8, "real", 3, "8894f8487db57af3d4097800db868482c338342f374e6ebe315222c680cde1dc"),
+            (64, 8, "real", 8197, "d332552b516f89c92f660d0b74f899d223f58b5f1a206aba264b213b72927850"),
+            (100, 10, "real", 1, "9be4c825e70a7538c34d7440ee33fb527b99809c0c5253cf402ab22a1ecf55c0"),
+            (100, 10, "real", 3, "d052b0ceb4480bde97cd9fe81e4a8a9d1cbd51889496ee0b7017c9495d5f4904"),
+            (100, 10, "real", 8197, "9994ce40b9b86fcf705ce0e7af82df7e84b90f3681c770564f5ca1a2ded1f7b1"),
+            (12, 3, "complex", 1, "b35c3e95c565001108e4da3aa9d54811bb8a808614bcc76772b7d43f8ff94470"),
+            (12, 3, "complex", 3, "d6cb81546cfaa1757cedaee8e1b7b68ecbd518823e5b941c63bf8277a9e74f92"),
+            (12, 3, "complex", 8197, "1b0e554b468cf149c21fb1a51e6445b2ad96cf703fb3cd2c1ae8134ca9290019"),
+        ],
+    )
+    def test_section_bytes_are_unchanged(self, n, d, field, rows, sha256):
+        rng = np.random.default_rng(1000 * n + d)
+        shape = (rows, len(nt_set(n, d).nt))
+        coords = rng.uniform(-1, 1, size=shape)
+        if field == "complex":
+            coords = coords + 1j * rng.uniform(-1, 1, size=shape)
+        got = np.ascontiguousarray(section_batch(coords, n, d))
+        assert hashlib.sha256(got.tobytes()).hexdigest() == sha256
+
+    @pytest.mark.parametrize("n,d", [(10, 3), (6, 1), (6, 6)])
+    def test_improper_divisor_rejected(self, n, d):
+        # d + n // d - 2 columns pass the column count; at (10, 3) the
+        # section of a degree-9 composition used to come back
+        with pytest.raises(ValueError, match="proper divisor"):
+            section_batch(np.zeros((1, d + n // d - 2)), n, d)

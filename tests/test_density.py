@@ -227,6 +227,21 @@ class TestLensArea:
         r = estimate_density(spec, 20_000, seed=5, mode="conditional")
         assert (r.mean, r.std_error) == (float.fromhex(mean), float.fromhex(std_error))
 
+    @pytest.mark.parametrize(
+        "spec,mode,mean,std_error",
+        [
+            # recorded before the real power rows moved to einsum and the
+            # weights to coefficient-major order; both must keep every bit
+            (TubeSpec(20, 5, 0.1, 1.0), "conditional", "0x1.08aae69c9b1b4p-40", "0x1.caeba8070e605p-50"),
+            (TubeSpec(64, 8, 0.1, 1.0), "conditional", "0x1.5cc6e2a484c5ap-164", "0x1.010d4a63bfbe8p-171"),
+            (TubeSpec(6, None, 0.1, 1.0), "plain", "0x1.35a858793dd98p-6", "0x1.f8d6e8aaa0907p-11"),
+        ],
+        ids=["real(20,5)", "real(64,8)", "union(6)"],
+    )
+    def test_real_and_union_estimates_are_unchanged(self, spec, mode, mean, std_error):
+        r = estimate_density(spec, 20_000, seed=5, mode=mode)
+        assert (r.mean, r.std_error) == (float.fromhex(mean), float.fromhex(std_error))
+
 
 class TestTubeMembership:
     def test_composition_is_member(self):
