@@ -10,6 +10,15 @@ power h^j is one (e*j + 1, N) array, built in place row by row from h^(j-1);
 g is solved top down from the determining coefficients, and f = sum g_j h^j
 is summed in place over the powers.
 
+A power row is a sum of products of rows of h^(j-1) and h, taken in
+ascending order of the h index.  float64 rows take it in one
+``np.einsum`` call, which sums in that order and so gives the bytes of a
+multiply-then-add loop; numpy does not document einsum's order, so tests
+pin the bytes.  complex128 and dtype=object rows run the loop, one multiply
+and one add per term: einsum on complex128 rounds differently in the last
+bits, and einsum on dtype=object needs numpy >= 1.25, above the supported
+floor.
+
 Column convention: a coefficient matrix of shape (N, n-1) holds, per row, the
 coefficients of x^1 ... x^(n-1) ascending (column j is the coefficient of
 x^(j+1); leading 1 and constant 0 are implicit).
@@ -58,11 +67,14 @@ def _section(coords: np.ndarray, d: int) -> tuple[np.ndarray, list]:
     h = np.concatenate([np.zeros_like(one), q[:0:-1], one])
 
     # row m of h^j is sum_i h_i h^(j-1)[m-i] over the i, ascending, where
-    # h^(j-1) is nonzero (rows j-1 .. e(j-1)); h_e = 1 needs no product
+    # h^(j-1) is nonzero (rows j-1 .. e(j-1)); h_e = 1 needs no product.
+    # The powers are slices of one buffer: malloc can hand one block back to
+    # the next call, where a fresh block per power faults in fresh pages
     powers = [None, h]
+    rest = np.zeros((sum(e * j + 1 for j in range(2, d + 1)), tmp.size), dtype=coords.dtype)
     for j in range(2, d + 1):
         prev, top = powers[-1], e * (j - 1)
-        p = np.zeros((e * j + 1, tmp.size), dtype=coords.dtype)
+        p, rest = rest[: e * j + 1], rest[e * j + 1 :]
         for m in range(j, e * j + 1):
             lo, hi = max(1, m - top), min(e, m - j + 1)
             if coords.dtype == np.float64:
@@ -95,7 +107,8 @@ def _section(coords: np.ndarray, d: int) -> tuple[np.ndarray, list]:
 
 def section_batch(nt_coords: np.ndarray, n: int, d: int) -> np.ndarray:
     """Full coefficient matrix (N, n-1) of the section at each row of inputs,
-    returned as a transposed view of a coefficient-major array.
+    returned as a transposed view of a coefficient-major array (the view
+    holds the buffer of all powers of h).
 
     ``nt_coords`` has one column per index of nt_set(n, d).nt in ascending
     index order, i.e. [f_e, f_2e, ..., f_{(d-1)e}, f_{n-e+1}, ..., f_{n-1}];

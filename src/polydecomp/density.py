@@ -19,9 +19,13 @@ Estimators draw from counter-based Philox streams keyed by (seed, block) and
 sum the blocks in block order, so results are reproducible and do not depend
 on ``threads``, the number of worker threads that run the blocks.  A worker
 draws its whole block, then computes the section and the per-sample values
-in row tiles that fit in cache, and reduces the whole block at once: every
+in row tiles, which bound the memory of a block (the powers of h for one
+(64, 8) tile hold about 19 MB), and reduces the whole block at once: every
 per-sample value and every summation order is that of an untiled block, so
-the tile size never changes a result.
+the tile size never changes a result.  The section comes back
+coefficient-major, one contiguous row per complement coefficient, and the
+per-sample weight is the product of one weight per such row, multiplied in
+ascending coefficient order.
 """
 
 from __future__ import annotations
