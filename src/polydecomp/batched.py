@@ -6,9 +6,9 @@ Python scalars, so exact input stays exact.  The kernel is coefficient-major:
 the input is transposed once, so that each coefficient is one contiguous
 length-N vector.  The d-th root of the reversed top coefficients comes from
 the triangular power recurrence (Knuth, TAOCP vol. 2, section 4.7).  Each
-power h^j is one (e*j + 1, N) array, built in place row by row from h^(j-1);
-g is solved top down from the determining coefficients, and f = sum g_j h^j
-is summed in place over the powers.
+power h^j is one (e*j + 1, N) slice of a buffer that holds them all, built
+in place row by row from h^(j-1); g is solved top down from the determining
+coefficients, and f = sum g_j h^j is summed in place over the powers.
 
 A power row is a sum of products of rows of h^(j-1) and h, taken in
 ascending order of the h index.  float64 rows take it in one

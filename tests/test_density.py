@@ -242,6 +242,26 @@ class TestLensArea:
         r = estimate_density(spec, 20_000, seed=5, mode=mode)
         assert (r.mean, r.std_error) == (float.fromhex(mean), float.fromhex(std_error))
 
+    def test_conditional_weight_is_the_row_wise_product(self):
+        # a one-sample estimate is that sample's weight; a sum over many
+        # samples would absorb a last-bit change in the product order.  At
+        # eps/B = 0.6 most samples clip some complement coordinates, so
+        # their factors differ and the order of the product shows
+        n, d, eps, B = 12, 3, 0.6, 1.0
+        ns = nt_set(n, d)
+        dep = [i - 1 for i in ns.complement]
+        mixed = 0
+        for seed in range(200):
+            free = density._block_rng(seed, 0).uniform(-B, B, size=(1, len(ns.nt)))
+            pred = section_batch(free, n, d)[:, dep]
+            over_hi = np.maximum(pred + eps - B, 0.0)
+            over_lo = np.maximum(-(pred - eps) - B, 0.0)
+            w = np.clip(2.0 * eps - over_hi - over_lo, 0.0, None) / (2.0 * B)
+            mixed += len(set(w[0])) >= 3
+            r = estimate_density(TubeSpec(n, d, eps, B), 1, seed=seed, mode="conditional")
+            assert r.mean == w.prod(axis=1)[0], seed
+        assert mixed >= 20
+
 
 class TestTubeMembership:
     def test_composition_is_member(self):
