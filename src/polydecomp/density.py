@@ -206,8 +206,8 @@ class _SectionModel:
         self.dep_cols = np.array([i - 1 for i in ns.complement])
 
     def predict(self, free: np.ndarray) -> np.ndarray:
-        # section_batch's output transposes a coefficient-major array, so its
-        # complement coefficients are a gather of contiguous rows
+        # (k, N): one contiguous row per complement coefficient, the layout
+        # the weights read; section_batch returns a transposed view
         return section_batch(free, self.n, self.d).T[self.dep_cols]
 
 
