@@ -17,10 +17,14 @@ density.  This module provides
 
 Estimators draw from counter-based Philox streams keyed by (seed, block) and
 sum the blocks in block order, so results are reproducible and do not depend
-on ``threads``, the number of worker threads that run the blocks.  A worker
-draws its whole block, then computes the section and the per-sample values
-in row tiles, which bound the memory of a block (the powers of h for one
-(64, 8) tile hold about 19 MB), and reduces the whole block at once: every
+on ``threads``, the number of worker threads that run the blocks.  Both
+modes run one block worker.  It draws its whole block (every coordinate in
+plain mode, the determining ones in conditional mode) from the field's
+sampler, then fills one float64 value per sample in row tiles: the union
+indicator as 0.0 or 1.0 in plain mode, the product of the field's overlap
+weights in conditional mode.  It returns the block's sums of x and x*x; the
+sums of 0/1 values are exact hit counts.  Tiles bound the memory of a block
+(the powers of h for one (64, 8) tile hold about 19 MB), and every
 per-sample value and every summation order is that of an untiled block, so
 the tile size never changes a result.  The section comes back
 coefficient-major, one contiguous row per complement coefficient, and the
@@ -126,6 +130,11 @@ def density_bounds(spec: TubeSpec) -> DensityBounds:
     r^codim (1 - r)^dim, upper r^codim.  The union target takes the bracket
     at d = least prime scaled by delta (1 if n = l^2, else 2), one term per
     component; complex coefficients double both exponents.
+
+    The bracket depends only on eps/B, and it has been checked against the
+    estimators only for B <= 1.5.  Beyond that it can fail: at B = 3, 4 of
+    16 conditional estimates fall below the lower bound, and at B = 10 all
+    16 do (ROADMAP item 8).
     """
     ns = nt_set(spec.n, spec.divisors[0])
     dim = dimension(spec.n, ns.d)
@@ -152,8 +161,12 @@ def disk_overlap_area(dist, r: float, R: float):
     tangency/containment branches handled by clipping.  The geometry is
     scaled by a power of two 2^k near max(r, R), which is exact, so that the
     product of the four lens factors cannot overflow; the area is scaled back
-    by 2^(2k).
+    by 2^(2k).  Radii must be >= 0; a disk of radius 0 has no overlap.
     """
+    if not (r >= 0 and R >= 0):  # also rejects NaN
+        raise ValueError(f"disk radii must be >= 0, got r={r!r}, R={R!r}")
+    if r == 0 or R == 0:
+        return 0.0 if np.ndim(dist) == 0 else np.zeros(np.shape(dist))
     k = math.frexp(max(r, R))[1]
     dist = np.ldexp(np.asarray(dist, dtype=np.float64), -k)
     r, R = math.ldexp(r, -k), math.ldexp(R, -k)
@@ -230,44 +243,6 @@ def _block_rng(seed: int, index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _run_blocks(samples: int, seed: int, worker, threads: int):
-    tasks = []
-    done = 0
-    idx = 0
-    while done < samples:
-        size = min(_BLOCK_SIZE, samples - done)
-        tasks.append((idx, size))
-        done += size
-        idx += 1
-
-    def run_one(task):
-        i, size = task
-        return worker(_block_rng(seed, i), size)
-
-    if threads > 1 and len(tasks) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            partials = list(ex.map(run_one, tasks))
-    else:
-        partials = [run_one(t) for t in tasks]
-    # combine in block order: the estimate does not depend on the worker count
-    total = 0.0
-    total_sq = 0.0
-    for s, s2 in partials:
-        total += s
-        total_sq += s2
-    return total, total_sq
-
-
-def _summarize(total, total_sq, samples, seed, mode) -> EstimateResult:
-    mean = total / samples
-    if samples > 1:
-        var = max(total_sq - samples * mean * mean, 0.0) / (samples - 1)
-        se = math.sqrt(var / samples)
-    else:
-        se = 0.0
-    return EstimateResult(mean=mean, std_error=se, samples=samples, seed=seed, mode=mode)
-
-
 def _sample_box(rng, shape, B: float) -> np.ndarray:
     return rng.uniform(-B, B, size=shape)
 
@@ -283,6 +258,36 @@ def _sample_disk(rng, shape, B: float) -> np.ndarray:
     return out
 
 
+def _box_weights(pred, epsilon: float, B: float, x: np.ndarray) -> None:
+    # x = the product over the rows p of pred of |(p-eps, p+eps) ∩ (-B, B)| / 2B,
+    # written so the unclipped case is exactly 2*eps; one complement
+    # coefficient at a time, multiplied in ascending order
+    w, over_lo = np.empty(x.size), np.empty(x.size)
+    x.fill(1.0)
+    for row in pred:
+        np.add(row, epsilon, out=w)
+        w -= B
+        np.maximum(w, 0.0, out=w)  # over_hi
+        np.subtract(row, epsilon, out=over_lo)
+        np.negative(over_lo, out=over_lo)
+        over_lo -= B
+        np.maximum(over_lo, 0.0, out=over_lo)
+        np.subtract(2.0 * epsilon, w, out=w)
+        w -= over_lo
+        np.maximum(w, 0.0, out=w)
+        w /= 2.0 * B
+        x *= w
+
+
+def _disk_weights(pred, epsilon: float, B: float, x: np.ndarray) -> None:
+    w = disk_overlap_area(np.abs(pred), epsilon, B) / (math.pi * B * B)
+    w.prod(axis=0, out=x)
+
+
+# the sampler and the conditional weights of each field
+_FIELDS = {"real": (_sample_box, _box_weights), "complex": (_sample_disk, _disk_weights)}
+
+
 def _estimate(models, field, epsilon, B, samples, seed, mode, threads) -> EstimateResult:
     if not (isinstance(samples, numbers.Integral) and samples >= 1):
         raise ValueError(f"samples must be an integer >= 1, got {samples!r}")
@@ -292,8 +297,7 @@ def _estimate(models, field, epsilon, B, samples, seed, mode, threads) -> Estima
         raise ValueError(f"unknown mode {mode!r}")
     if not (threads is None or isinstance(threads, numbers.Integral) and threads >= 1):
         raise ValueError(f"threads must be None or an integer >= 1, got {threads!r}")
-    ambient = models[0].ambient
-    sample = _sample_box if field == "real" else _sample_disk
+    sample, weights = _FIELDS[field]
 
     def predict(model, free):
         # an overflowing section is reported by the check below, not by numpy
@@ -304,55 +308,43 @@ def _estimate(models, field, epsilon, B, samples, seed, mode, threads) -> Estima
         return pred
 
     if mode == "plain":
+        width = models[0].ambient
 
-        def worker(rng, size):
-            a = sample(rng, (size, ambient), B)
-            member = np.zeros(size, dtype=bool)
-            for lo in range(0, size, _TILE):
-                tile = a[lo : lo + _TILE]
-                for model in models:
-                    pred = predict(model, tile[:, model.free_cols])
-                    inside = (np.abs(tile[:, model.dep_cols].T - pred) < epsilon).all(axis=0)
-                    member[lo : lo + _TILE] |= inside
-            hits = float(np.count_nonzero(member))
-            return hits, hits  # sums of x and of x * x, equal for indicators
+        def values(a, x):  # the union indicator, as 0.0 or 1.0
+            x.fill(0.0)
+            for model in models:
+                pred = predict(model, a[:, model.free_cols])
+                x[(np.abs(a[:, model.dep_cols].T - pred) < epsilon).all(axis=0)] = 1.0
 
     else:
-        model = models[0]
-        nfree = len(model.free_cols)
+        width = len(models[0].free_cols)
 
-        def worker(rng, size):
-            free = sample(rng, (size, nfree), B)
-            x = np.empty(size)
-            for lo in range(0, size, _TILE):
-                pred = predict(model, free[lo : lo + _TILE])
-                xt = x[lo : lo + _TILE]
-                if field == "real":
-                    # overlap of (pred-eps, pred+eps) with (-B, B), written so
-                    # the unclipped case is exactly 2*eps; one complement
-                    # coefficient at a time, multiplied in ascending order
-                    w, over_lo = np.empty(xt.size), np.empty(xt.size)
-                    xt.fill(1.0)
-                    for row in pred:
-                        np.add(row, epsilon, out=w)
-                        w -= B
-                        np.maximum(w, 0.0, out=w)  # over_hi
-                        np.subtract(row, epsilon, out=over_lo)
-                        np.negative(over_lo, out=over_lo)
-                        over_lo -= B
-                        np.maximum(over_lo, 0.0, out=over_lo)
-                        np.subtract(2.0 * epsilon, w, out=w)
-                        w -= over_lo
-                        np.maximum(w, 0.0, out=w)
-                        w /= 2.0 * B
-                        xt *= w
-                else:
-                    w = disk_overlap_area(np.abs(pred), epsilon, B) / (math.pi * B * B)
-                    w.prod(axis=0, out=xt)
-            return float(x.sum()), float((x * x).sum())
+        def values(free, x):
+            weights(predict(models[0], free), epsilon, B, x)
 
-    total, total_sq = _run_blocks(samples, seed, worker, threads or 1)
-    return _summarize(total, total_sq, samples, seed, mode)
+    def block(start):
+        rng = _block_rng(seed, start // _BLOCK_SIZE)
+        a = sample(rng, (min(_BLOCK_SIZE, samples - start), width), B)
+        x = np.empty(len(a))
+        for lo in range(0, len(a), _TILE):
+            values(a[lo : lo + _TILE], x[lo : lo + _TILE])
+        return float(x.sum()), float((x * x).sum())
+
+    starts = range(0, samples, _BLOCK_SIZE)
+    if (threads or 1) > 1 and len(starts) > 1:
+        with ThreadPoolExecutor(max_workers=threads) as ex:
+            partials = list(ex.map(block, starts))
+    else:  # one worker runs on the calling thread, where a tracer links its spans
+        partials = map(block, starts)
+    # summed in block order, so the estimate does not depend on the worker count
+    total = total_sq = 0.0
+    for s, s2 in partials:
+        total += s
+        total_sq += s2
+    mean = total / samples
+    var = max(total_sq - samples * mean * mean, 0.0) / (samples - 1) if samples > 1 else 0.0
+    se = math.sqrt(var / samples)
+    return EstimateResult(mean=mean, std_error=se, samples=samples, seed=seed, mode=mode)
 
 
 def estimate_density(

@@ -117,15 +117,14 @@ class Polynomial:
     def __mul__(self, other):
         if not isinstance(other, Polynomial):
             return Polynomial([other * c for c in self.coeffs])
-        a, b = self.coeffs, other.coeffs
-        return Polynomial(_trunc_mul(a, b, len(a) + len(b) - 1))
+        return Polynomial(_mul(self.coeffs, other.coeffs))
 
     __rmul__ = __mul__
 
     def __pow__(self, k: int):
         if k < 0:
             raise ValueError("negative power of a polynomial")
-        return Polynomial(_trunc_pow(list(self.coeffs), k, max(k * self.degree, 0) + 1))
+        return Polynomial(_pow(self.coeffs, k))
 
     def __divmod__(self, other: "Polynomial"):
         """Quotient and remainder; divisor leading coefficient must be a unit."""
@@ -195,17 +194,29 @@ def x_power(k: int) -> Polynomial:
     return Polynomial([0] * k + [1])
 
 
-def _trunc_mul(a: Sequence, b: Sequence, k: int) -> list:
-    """Coefficients of a*b mod x^k."""
-    if not a or not b or k <= 0:
+def _mul(a: Sequence, b: Sequence) -> list:
+    """Coefficients of a*b, skipping zero coefficients of a."""
+    if not a or not b:
         return []
-    out = [0] * min(k, len(a) + len(b) - 1)
-    for i, ai in enumerate(a[:k]):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
         if ai == 0:
             continue
-        for j, bj in enumerate(b[: k - i], i):
+        for j, bj in enumerate(b, i):
             out[j] += ai * bj
     return out
+
+
+def _pow(base: Sequence, m: int) -> list:
+    """base**m (m >= 0) by repeated squaring."""
+    result = [1]
+    while m:
+        if m & 1:
+            result = _mul(result, base)
+        m >>= 1
+        if m:
+            base = _mul(base, base)
+    return result
 
 
 # -- monic original polynomials ---------------------------------------------
@@ -267,19 +278,6 @@ def compose(g: Polynomial, h: Polynomial) -> Polynomial:
 
 
 # -- truncated power series ---------------------------------------------------
-
-
-def _trunc_pow(base: list, m: int, k: int) -> list:
-    """base**m mod x^k (m >= 0)."""
-    result = [1]
-    b = base[:k]
-    while m:
-        if m & 1:
-            result = _trunc_mul(result, b, k)
-        m >>= 1
-        if m:
-            b = _trunc_mul(b, b, k)
-    return result
 
 
 def series_inverse(p: Polynomial, k: int) -> Polynomial:

@@ -39,6 +39,13 @@ def bounds(n, d, epsilon, B, field="real"):
     return density_bounds(TubeSpec(n=n, d=d, epsilon=epsilon, B=B, field=field))
 
 
+def estimate(target, mode, samples, seed, threads=None):
+    """An estimate for a TubeSpec, or for subspace-model arguments given as a dict."""
+    if isinstance(target, TubeSpec):
+        return estimate_density(target, samples, seed=seed, mode=mode, threads=threads)
+    return estimate_subspace_density(samples=samples, seed=seed, mode=mode, threads=threads, **target)
+
+
 class TestBounds:
     def test_real_4_2(self):
         b = bounds(4, 2, 0.1, 1.0)
@@ -214,6 +221,22 @@ class TestLensArea:
         assert np.all(np.isfinite(huge))
         np.testing.assert_allclose(huge, 1e160 * unit, rtol=1e-12)
 
+    @pytest.mark.parametrize("r,R", [(-0.5, 1.0), (1.0, -0.5), (math.nan, 1.0), (0.5, math.nan)])
+    def test_negative_or_nan_radius_rejected(self, r, R):
+        # a radius of -0.5 used to give a positive area, 0.785
+        with pytest.raises(ValueError, match="radii"):
+            disk_overlap_area(0.0, r, R)
+
+    def test_zero_radius_has_no_overlap(self):
+        # this used to divide by the zero radius and warn
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert disk_overlap_area(0.0, 0.0, 1.0) == 0.0
+            assert disk_overlap_area(0.5, 1.0, 0.0) == 0.0
+            assert disk_overlap_area(0.0, 0.0, 0.0) == 0.0
+            out = disk_overlap_area([0.0, 0.5, 2.0], 0.0, 1.0)
+        assert out.shape == (3,) and not out.any()
+
     @pytest.mark.parametrize(
         "n,d,epsilon,mean,std_error",
         [
@@ -240,6 +263,19 @@ class TestLensArea:
     )
     def test_real_and_union_estimates_are_unchanged(self, spec, mode, mean, std_error):
         r = estimate_density(spec, 20_000, seed=5, mode=mode)
+        assert (r.mean, r.std_error) == (float.fromhex(mean), float.fromhex(std_error))
+
+    @pytest.mark.parametrize(
+        "target,mean,std_error",
+        [
+            # recorded before plain and conditional mode shared one block worker
+            (TubeSpec(12, 3, 0.6, 1.0, "complex"), "0x1.0cb295e9e1b09p-9", "0x1.4f5f4a4606e23p-12"),
+            (dict(n=7, k=3, epsilon=0.5, B=1.0), "0x1.0346dc5d63886p-4", "0x1.c3601aef5891fp-10"),
+        ],
+        ids=["complex(12,3)", "subspace-real(7,3)"],
+    )
+    def test_plain_estimates_are_unchanged(self, target, mean, std_error):
+        r = estimate(target, "plain", 20_000, seed=5)
         assert (r.mean, r.std_error) == (float.fromhex(mean), float.fromhex(std_error))
 
     def test_conditional_weight_is_the_row_wise_product(self):
@@ -408,12 +444,17 @@ class TestEstimators:
         assert r3.mean != r1.mean
 
     def test_thread_count_does_not_change_result(self):
-        spec = TubeSpec(n=6, d=None, epsilon=0.15, B=1.0)
-        results = [
-            estimate_density(spec, 300_000, seed=88, mode="plain", threads=t)
-            for t in (None, 1, 2, 4)
+        cases = [
+            (TubeSpec(6, None, 0.15, 1.0), "plain", 300_000),
+            (TubeSpec(12, 3, 0.6, 1.0, "complex"), "plain", 150_001),
+            (TubeSpec(20, 5, 0.1, 1.0), "conditional", 150_001),
+            (TubeSpec(12, 3, 0.1, 1.0, "complex"), "conditional", 150_001),
+            (dict(n=7, k=3, epsilon=0.5, B=1.0), "plain", 150_001),
+            (dict(n=7, k=3, epsilon=0.2, B=1.0, field="complex"), "conditional", 150_001),
         ]
-        assert all(r == results[0] for r in results)
+        for target, mode, samples in cases:
+            results = [estimate(target, mode, samples, seed=88, threads=t) for t in (None, 1, 2, 4)]
+            assert all(r == results[0] for r in results), (target, mode)
 
     def test_bad_threads(self):
         spec = TubeSpec(n=6, d=2, epsilon=0.1, B=1.0)
@@ -520,22 +561,16 @@ class TestRowTiles:
         (TubeSpec(12, 3, 0.6, 1.0, "complex"), "plain", 30_000),
         (dict(n=7, k=3, epsilon=0.2, B=1.0, field="real"), "conditional", 100_003),
         (dict(n=7, k=3, epsilon=0.2, B=1.0, field="complex"), "conditional", 100_003),
+        (dict(n=7, k=3, epsilon=0.5, B=1.0, field="real"), "plain", 100_003),
     ]
-
-    @staticmethod
-    def run(case, seed):
-        target, mode, samples = case
-        if isinstance(target, TubeSpec):
-            return estimate_density(target, samples, seed=seed, mode=mode)
-        return estimate_subspace_density(samples=samples, seed=seed, mode=mode, **target)
 
     @pytest.mark.parametrize("seed", [5, 2**64 - 1])
     def test_tile_size_does_not_change_result(self, seed, monkeypatch):
-        default = [self.run(case, seed) for case in self.CASES]
+        default = [estimate(*case, seed) for case in self.CASES]
         # one tile per block, then tiles smaller than the default
         for tile in (1 << 16, 1024):
             monkeypatch.setattr(density, "_TILE", tile)
-            assert [self.run(case, seed) for case in self.CASES] == default, tile
+            assert [estimate(*case, seed) for case in self.CASES] == default, tile
 
     def test_peak_memory_of_a_block(self):
         # a whole-block (64,8) section held about 170 MB of numpy buffers
