@@ -10,14 +10,14 @@ power h^j is one (e*j + 1, N) slice of a buffer that holds them all, built
 in place row by row from h^(j-1); g is solved top down from the determining
 coefficients, and f = sum g_j h^j is summed in place over the powers.
 
-A power row is a sum of products of rows of h^(j-1) and h, taken in
-ascending order of the h index.  float64 rows take it in one
-``np.einsum`` call, which sums in that order and so gives the bytes of a
-multiply-then-add loop; numpy does not document einsum's order, so tests
-pin the bytes.  complex128 and dtype=object rows run the loop, one multiply
-and one add per term: einsum on complex128 rounds differently in the last
-bits, and einsum on dtype=object needs numpy >= 1.25, above the supported
-floor.
+One loop builds each power row: the products of rows of h^(j-1) and h
+with h index i < e, summed in ascending i, then the term of h_e = 1.  Only
+that sum depends on the dtype.  float64 rows take it in one ``np.einsum``
+call, which sums in that order and so gives the bytes of a multiply-then-add
+loop; numpy does not document einsum's order, so tests pin the bytes.
+complex128 and dtype=object rows take one multiply and one add per term:
+einsum on complex128 rounds differently in the last bits, and einsum on
+dtype=object needs numpy >= 1.25, above the supported floor.
 
 Column convention: a coefficient matrix of shape (N, n-1) holds, per row, the
 coefficients of x^1 ... x^(n-1) ascending (column j is the coefficient of
@@ -66,32 +66,26 @@ def _section(coords: np.ndarray, d: int) -> tuple[np.ndarray, list]:
     q = series_root_batch(np.concatenate([one, coords[d - 1 :][::-1]]), d)
     h = np.concatenate([np.zeros_like(one), q[:0:-1], one])
 
-    # row m of h^j is sum_i h_i h^(j-1)[m-i] over the i, ascending, where
-    # h^(j-1) is nonzero (rows j-1 .. e(j-1)); h_e = 1 needs no product.
-    # The powers are slices of one buffer: malloc can hand one block back to
-    # the next call, where a fresh block per power faults in fresh pages
+    # row m of h^j is sum_i h_i h^(j-1)[m-i] where h^(j-1) is nonzero (rows
+    # j-1 .. e(j-1)): the terms i < e in ascending i, then h_e = 1 with no
+    # product.  The powers are slices of one zeroed buffer: malloc can hand
+    # it back to the next call, where a block per power faults in new pages
     powers = [None, h]
     rest = np.zeros((sum(e * j + 1 for j in range(2, d + 1)), tmp.size), dtype=coords.dtype)
     for j in range(2, d + 1):
-        prev, top = powers[-1], e * (j - 1)
+        prev = powers[-1]
         p, rest = rest[: e * j + 1], rest[e * j + 1 :]
         for m in range(j, e * j + 1):
-            lo, hi = max(1, m - top), min(e, m - j + 1)
+            lo, hi = max(1, m - e * (j - 1)), min(e - 1, m - j + 1)
             if coords.dtype == np.float64:
-                # one pass over the terms i < e, summed in ascending i
-                hh = min(hi, e - 1)
-                if hh >= lo:
-                    np.einsum("ij,ij->j", prev[m - hh : m - lo + 1][::-1], h[lo : hh + 1], out=p[m])
-                if hi == e:
-                    p[m] += prev[m - e]
-                continue
-            np.multiply(prev[m - lo], h[lo], out=p[m])
-            for i in range(lo + 1, hi + 1):
-                if i == e:
-                    p[m] += prev[m - e]
-                else:
+                np.einsum("ij,ij->j", prev[m - hi : m - lo + 1][::-1], h[lo : hi + 1], out=p[m])
+            elif lo <= hi:  # the top row m = e*j has no term i < e
+                np.multiply(prev[m - lo], h[lo], out=p[m])
+                for i in range(lo + 1, hi + 1):
                     np.multiply(prev[m - i], h[i], out=tmp)
                     p[m] += tmp
+            if m - e >= j - 1:
+                p[m] += prev[m - e]
         powers.append(p)
 
     # g_i = f_(e*i) - sum_{j>i} g_j [h^j]_(e*i), top down, with g_d = 1

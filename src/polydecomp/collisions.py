@@ -110,10 +110,8 @@ def alpha_exp(params: CollisionParams) -> Polynomial:
         raise CollisionParameterError(f"w must be monic of degree {s}")
     if e == s * d:
         raise CollisionParameterError("degenerate exponent: e = s*d (x^0 factor)")
-    k, rem_k = divmod(d, i)
-    t, rem_t = divmod(d * (e - s * d), i * i)
-    if rem_k or rem_t:
-        raise CollisionParameterError("collision exponents are not integral")
+    # i = gcd(d, e) divides d and e, so i^2 divides d(e - sd)
+    k, t = d // i, d * (e - s * d) // (i * i)
     core = x_power(t) * compose(x_power(k), compose(w, x_power(k)))  # w(x^k)^k
     f = compose(params.u, compose(original_shift(core, params.a), params.v))
     return require_monic_original(f)
@@ -124,11 +122,8 @@ def alpha_trig(params: CollisionParams) -> Polynomial:
     _validate_common(params)
     if params.z is None:
         raise CollisionParameterError("trigonometric variant needs z")
-    i = params.i
-    m, rem = divmod(params.n, i * i)
-    if rem:
-        raise CollisionParameterError("n/i^2 is not integral")
-    core = dickson(m, params.z)
+    # i = gcd(d, e) divides d and e, so i^2 divides n = de
+    core = dickson(params.n // (params.i * params.i), params.z)
     f = compose(params.u, compose(original_shift(core, params.a), params.v))
     return require_monic_original(f)
 

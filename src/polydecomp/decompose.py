@@ -152,8 +152,9 @@ def divisor_plan(n: int) -> DivisorPlan:
 _SMALL_PRIMES = tuple([p for p in range(2, 64) if least_prime_factor(p) == p])
 
 
-def _integer_form(f: Polynomial) -> tuple[int, list[int]]:
-    """(c0, F0) for exact monic original f: F0_i = c0^(n-i) f_i is an integer.
+def _integer_form(f: Polynomial, s: int = 1) -> tuple[int, list[int]]:
+    """(c, F) for exact monic original f: c = c0 * s and F_i = c^(n-i) f_i,
+    an integer, so that F(x) = c^n f(x/c).
 
     c0 is the product of p^max_i ceil(v_p(den f_i) / (n-i)) over the primes
     p < 64, times the cofactor of the lcm of the denominators that those
@@ -176,30 +177,26 @@ def _integer_form(f: Polynomial) -> tuple[int, list[int]]:
             need = [-(-v[math.gcd(b, pk[-1])] // (n - i)) for i, (_, b) in enumerate(fs[:n])]
             c0 *= p ** max(need)
     c0 *= rest
+    c = c0 * s
     powers = [1]
     for _ in range(n):
-        powers.append(powers[-1] * c0)
-    return c0, [a * (powers[n - i] // b) for i, (a, b) in enumerate(fs)]
+        powers.append(powers[-1] * c)
+    return c, [a * (powers[n - i] // b) for i, (a, b) in enumerate(fs)]
 
 
 def _integer_components(f: Polynomial, d: int) -> tuple[int, Polynomial, Polynomial]:
-    """(c, F, H) for exact monic original f: the monic integer
-    F(x) = c^n f(x/c) with c = c0 * d^2, and F's candidate right component H.
+    """(c, F, H) for exact monic original f: (c, F) = `_integer_form(f, d^2)`
+    and F's candidate right component H.
 
-    F_i = F0_i * d^(2(n-i)) with (c0, F0) = `_integer_form(f)`.  H is the
-    reverse of the d-th root q of U = reverse(F), from the recurrence
+    H is the reverse of the d-th root q of U = reverse(F), from the recurrence
     d*t*q_t = sum_k ((d+1)k - d*t) U_k q_(t-k).  The division by d*t is
-    exact because U_k is c0^k f_(n-k) times d^(2k) and d^(2m) * binom(1/d, m)
-    is an integer; c0 alone clears the denominators, so the d^2 is left
-    whole for the root.
+    exact because c0 alone clears the denominators, so U_k keeps the factor
+    d^(2k) of c^k whole, and d^(2m) * binom(1/d, m) is an integer.
     """
-    c0, F0 = _integer_form(f)
+    c, F = _integer_form(f, d * d)
     n = f.degree
     _require_proper_divisor(n, d)
-    u, scale = [], 1  # U_k = F0_(n-k) * d^(2k)
-    for a in reversed(F0):
-        u.append(a * scale)
-        scale *= d * d
+    u = F[::-1]
     q = [1]
     for t in range(1, n // d):
         s = sum(((d + 1) * k - d * t) * u[k] * q[t - k] for k in range(1, t + 1))
@@ -207,7 +204,7 @@ def _integer_components(f: Polynomial, d: int) -> tuple[int, Polynomial, Polynom
         if r:
             raise ArithmeticError(f"integer d-th root left remainder {r} at t = {t}")
         q.append(qt)
-    return c0 * d * d, Polynomial(u[::-1]), Polynomial([0, *q[:0:-1], 1])
+    return c, Polynomial(F), Polynomial([0, *q[:0:-1], 1])
 
 
 def _unscale(P: Polynomial, c: int) -> Polynomial:

@@ -161,14 +161,15 @@ def disk_overlap_area(dist, r: float, R: float):
     tangency/containment branches handled by clipping.  The geometry is
     scaled by a power of two 2^k near max(r, R), which is exact, so that the
     product of the four lens factors cannot overflow; the area is scaled back
-    by 2^(2k).  Radii must be >= 0; a disk of radius 0 has no overlap.
+    by 2^(2k).  Radii must be finite and >= 0; a disk of radius 0 has no
+    overlap.  The distance is taken as |dist|.
     """
-    if not (r >= 0 and R >= 0):  # also rejects NaN
-        raise ValueError(f"disk radii must be >= 0, got r={r!r}, R={R!r}")
+    if not (0 <= r < math.inf and 0 <= R < math.inf):  # also rejects NaN
+        raise ValueError(f"disk radii must be finite and >= 0, got r={r!r}, R={R!r}")
     if r == 0 or R == 0:
         return 0.0 if np.ndim(dist) == 0 else np.zeros(np.shape(dist))
     k = math.frexp(max(r, R))[1]
-    dist = np.ldexp(np.asarray(dist, dtype=np.float64), -k)
+    dist = np.ldexp(np.abs(np.asarray(dist, dtype=np.float64)), -k)
     r, R = math.ldexp(r, -k), math.ldexp(R, -k)
     small, big = (r, R) if r <= R else (R, r)
     full = math.pi * small * small

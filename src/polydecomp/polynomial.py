@@ -136,8 +136,6 @@ class Polynomial:
         den = other.coeffs
         lc = den[-1]
         num = list(self.coeffs)
-        if len(num) <= dd:
-            return Polynomial(), self
         unit, exact = lc == 1, isinstance(lc, EXACT_TYPES)
         q = [0] * (len(num) - dd)
         for i in range(len(num) - 1, dd - 1, -1):

@@ -187,6 +187,12 @@ class TestSectionBatch:
             (12, 3, "complex", 1, "b35c3e95c565001108e4da3aa9d54811bb8a808614bcc76772b7d43f8ff94470"),
             (12, 3, "complex", 3, "d6cb81546cfaa1757cedaee8e1b7b68ecbd518823e5b941c63bf8277a9e74f92"),
             (12, 3, "complex", 8197, "1b0e554b468cf149c21fb1a51e6445b2ad96cf703fb3cd2c1ae8134ca9290019"),
+            # d = 2: f = g_1 h + h^2, and every row m > e of h^2 takes the
+            # h_e = 1 term; recorded before the power rows shared one loop
+            (6, 2, "real", 3, "c64a8befd237d556e4d541c68c0d22c1343206688dd9a7ffaa9eb4751c25b8de"),
+            (6, 2, "complex", 8197, "c7b82de7a2d34c4c66abde129414fd45153290e95aff37a59ca471e8e4ef91ff"),
+            (8, 2, "real", 8197, "b37d1b863dbedc6a643d1d2114c028c6d6e79f03e9fd1652bfaadb3d6b265d85"),
+            (8, 2, "complex", 3, "f1bde65a9b71ca476eccdfbfba9ad542ab95425393217bea78033261732528ec"),
         ],
     )
     def test_section_bytes_are_unchanged(self, n, d, field, rows, sha256):

@@ -321,8 +321,10 @@ class TestCollide:
             ({"variant": "exp", "n": 6, "d": 2, "u": "1,0", "v": "1,0", "a": "0", "w": ["x"]},
              "cannot parse coefficient 'x'"),
             ([1, 2], "must be a JSON object"),
+            ({"variant": "sin", "n": 6, "d": 2, "u": "1,0", "v": "1,0", "a": "0", "z": "1"},
+             "unknown collision variant 'sin'"),
         ],
-        ids=["bad-z", "bad-w", "not-an-object"],
+        ids=["bad-z", "bad-w", "not-an-object", "unknown-variant"],
     )
     def test_unparsable_payload_is_usage_error(self, capsys, payload, message):
         code, out, err = run(capsys, "collide", json.dumps(payload))

@@ -82,6 +82,8 @@ class TestDickson:
 
     def test_t0(self):
         assert dickson(0, Fraction(5)) == Polynomial([2])
+        with pytest.raises(ValueError, match="negative Dickson degree"):
+            dickson(-1, Fraction(5))
 
     def test_composition_semigroup(self):
         # T_m(T_k(x, z), z^k) = T_{mk}(x, z) for mk <= 12
@@ -155,6 +157,10 @@ class TestAlphaExp:
             alpha_exp(CollisionParams(n=6, d=3, u=X, v=X, a=0, w=P(1, 0)))
         with pytest.raises(CollisionParameterError):
             alpha_exp(CollisionParams(n=6, d=2, u=P(1, 0, 0), v=X, a=0, w=P(1, 0)))
+        with pytest.raises(CollisionParameterError, match="needs w"):
+            alpha_exp(CollisionParams(n=6, d=2, u=X, v=X, a=0))
+        with pytest.raises(CollisionParameterError, match="w must be monic of degree 1"):
+            alpha_exp(CollisionParams(n=6, d=2, u=X, v=X, a=0, w=P(1, 0, 0)))
 
 
 class TestAlphaTrig:

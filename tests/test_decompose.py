@@ -388,6 +388,22 @@ class TestSection:
         assert f == compose(P(1, 1, 0), P(1, 2, 0))
         assert f == P(1, 4, 5, 2, 0)
 
+    def test_section_components_reprs_are_unchanged(self):
+        # one dtype=object row each of Fractions, floats and ints through the
+        # kernel; recorded while the top row of every power was built as 1*1
+        rng = random.Random(29)
+        draws = (
+            lambda: Fraction(rng.randint(-9, 9), rng.randint(1, 9)),
+            lambda: rng.uniform(-1, 1),
+            lambda: rng.randint(-5, 5),
+        )
+        reprs = []
+        for n, d in [(6, 3), (12, 4), (20, 5)]:
+            for draw in draws:
+                reprs.append(repr(section_components({i: draw() for i in nt_set(n, d).nt}, n, d)))
+        digest = hashlib.sha256("\n".join(reprs).encode()).hexdigest()
+        assert digest == "e63792148df353f57b1e7253d1e7bcd3fcbef8f417aa09b1d08c14465f3a8027"
+
     def test_golden_g4_formula(self):
         rng = random.Random(113)
         for _ in range(10):

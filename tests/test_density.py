@@ -173,6 +173,13 @@ class TestChengBound:
     def test_zero_epsilon(self):
         assert cheng_bound(8, 0.0, 1.0) == 0.0
 
+    def test_invalid_input(self):
+        with pytest.raises(ValueError, match="degree 7 is not composite"):
+            cheng_bound(7, 0.1, 1.0)
+        for eps in (1.0, 2.0):
+            with pytest.raises(ValueError, match="need 0 <= epsilon < B"):
+                cheng_bound(6, eps, 1.0)
+
     def test_sharper_than_hypersurface(self):
         assert bounds(6, None, 0.1, 1.0, "complex").upper == pytest.approx(0.0002)
         assert bounds(6, None, 0.1, 1.0, "complex").upper < cheng_bound(6, 0.1, 1.0)
@@ -184,6 +191,12 @@ class TestLensArea:
 
     def test_separate(self):
         assert disk_overlap_area(2.0, 0.5, 1.0) == 0.0
+
+    def test_negative_distance_is_its_absolute_value(self):
+        # distance -5 used to read as a contained disk, area 0.785
+        assert disk_overlap_area(-5.0, 0.5, 1.0) == 0.0
+        dist = np.array([0.0, 0.3, 0.7, 1.2, 1.6])
+        np.testing.assert_array_equal(disk_overlap_area(-dist, 0.5, 1.0), disk_overlap_area(dist, 0.5, 1.0))
 
     def test_rejection_sampling_oracle(self):
         rng = np.random.default_rng(404)
@@ -226,6 +239,14 @@ class TestLensArea:
         # a radius of -0.5 used to give a positive area, 0.785
         with pytest.raises(ValueError, match="radii"):
             disk_overlap_area(0.0, r, R)
+
+    @pytest.mark.parametrize("r,R", [(1.0, math.inf), (math.inf, 1.0), (math.inf, math.inf)])
+    def test_infinite_radius_rejected(self, r, R):
+        # R = inf used to warn "invalid value encountered in scalar divide"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ValueError, match="radii must be finite"):
+                disk_overlap_area(0.0, r, R)
 
     def test_zero_radius_has_no_overlap(self):
         # this used to divide by the zero radius and warn
@@ -474,6 +495,11 @@ class TestEstimators:
         spec = TubeSpec(n=6, d=None, epsilon=0.1, B=1.0)
         with pytest.raises(ValueError):
             estimate_density(spec, 100, mode="conditional")
+
+    def test_unknown_mode_rejected(self):
+        spec = TubeSpec(n=6, d=2, epsilon=0.1, B=1.0)
+        with pytest.raises(ValueError, match="unknown mode 'exact'"):
+            estimate_density(spec, 100, mode="exact")
 
     def test_bad_samples(self):
         spec = TubeSpec(n=6, d=2, epsilon=0.1, B=1.0)

@@ -78,6 +78,11 @@ class TestRingOps:
     def test_add_coefficientwise(self):
         assert P(1, 0, 2, 0) + P(1, 0, 3, 0) == P(2, 0, 5, 0)
 
+    def test_scalar_operands(self):
+        assert P(1, 2) + 3 == 3 + P(1, 2) == P(1, 5)
+        assert 3 - P(1, 2) == P(-1, 1)
+        assert Fraction(1, 2) - P(1, 0) == Polynomial([Fraction(1, 2), -1])
+
     def test_mul_difference_of_squares(self):
         assert P(1, 1) * P(1, -1) == P(1, 0, -1)
 
@@ -106,7 +111,7 @@ class TestRingOps:
                 b = [draw() for _ in range(rng.randint(0, 12))]
                 assert Polynomial(a) * Polynomial(b) == Polynomial(ref_mul(a, b))
 
-    def test_karatsuba_path_matches_reference(self):
+    def test_long_exact_operands_match_reference(self):
         # large operands: 96 x 113 coefficients, far past the sizes above
         rng = random.Random(11)
         a = [Fraction(rng.randint(-9, 9)) for _ in range(96)]
@@ -124,6 +129,9 @@ class TestRingOps:
                 q = q * p
             with pytest.raises(ValueError):
                 p**-1
+        assert x_power(3) == P(1, 0, 0, 0)
+        with pytest.raises(ValueError, match="negative exponent"):
+            x_power(-1)
 
     def test_divmod_roundtrip(self):
         rng = random.Random(3)
@@ -133,6 +141,45 @@ class TestRingOps:
             q, r = divmod(a, b)
             assert q * b + r == a
             assert r.degree < b.degree
+
+    def test_divmod_by_higher_degree_is_pinned(self):
+        # the quotient is empty and the remainder is the dividend, types kept
+        cases = [
+            (Polynomial([1, 2]), Polynomial([3, 0, 1]), "[1, 2]"),
+            (
+                Polynomial([Fraction(1, 3), Fraction(-2, 5)]),
+                Polynomial([1, 2, Fraction(3, 7)]),
+                "[Fraction(1, 3), Fraction(-2, 5)]",
+            ),
+            (Polynomial([0.5, -0.0, 1.25]), Polynomial([1.0, 2.0, 0.0, 3.0]), "[0.5, -0.0, 1.25]"),
+            (Polynomial([1j, 2 + 0j]), Polynomial([1, 0, 2j]), "[1j, (2+0j)]"),
+            (Polynomial(), Polynomial([1, 1]), "[]"),
+        ]
+        for a, b, rem in cases:
+            assert repr(divmod(a, b)) == f"(Polynomial([]), Polynomial({rem}))"
+
+    def test_divmod_by_non_monic_divisor(self):
+        # exact input divides by the leading coefficient in Fractions
+        q, r = divmod(Polynomial([1, 2, 3, 4, 5]), Polynomial([1, 1, 3]))
+        assert repr((q, r)) == (
+            "(Polynomial([Fraction(5, 27), Fraction(7, 9), Fraction(5, 3)]), "
+            "Polynomial([Fraction(22, 27), Fraction(28, 27)]))"
+        )
+        q, r = divmod(Polynomial([1.0, 2.0, 3.0, 4.0, 5.0]), Polynomial([1.0, 1.0, 3.0]))
+        assert repr((q, r)) == (
+            "(Polynomial([0.1851851851851852, 0.7777777777777777, 1.6666666666666667]), "
+            "Polynomial([0.8148148148148148, 1.0370370370370372]))"
+        )
+
+    def test_divmod_by_scalar_or_zero(self):
+        assert divmod(Polynomial([1, 2, 3]), 2) == (
+            Polynomial([Fraction(1, 2), 1, Fraction(3, 2)]),
+            Polynomial(),
+        )
+        assert repr(divmod(Polynomial([1.0, 2.0]), 2.0)) == "(Polynomial([0.5, 1.0]), Polynomial([]))"
+        for zero in (Polynomial(), 0):
+            with pytest.raises(ZeroDivisionError, match="division by zero"):
+                divmod(Polynomial([1, 2]), zero)
 
     def test_zero_polynomial(self):
         z = Polynomial([0, 0, 0])
@@ -323,6 +370,12 @@ class TestSeriesRoot:
     def test_normalization_contract(self):
         with pytest.raises(SeriesNormalizationError):
             series_dth_root(P(1, 2), 2, 3)
+        for d in (0, -2):
+            with pytest.raises(ValueError, match="root index must be positive"):
+                series_dth_root(P(1, 1), d, 3)
+        for k in (0, -1):
+            with pytest.raises(ValueError, match="truncation order must be positive"):
+                series_dth_root(P(1, 1), 2, k)
 
     @pytest.mark.parametrize("d,e", [(3, 4), (5, 6), (10, 10)])
     def test_same_bits_as_the_batched_root(self, d, e):
@@ -353,6 +406,12 @@ class TestTaylor:
         f = P(1, 0, 0, 1, 0)  # x^4 + x
         gs = taylor_coefficients(f, x_power(2), 2)
         assert gs == (P(1, 0), Polynomial(), Polynomial([1]))
+
+    def test_bad_base_or_degree_rejected(self):
+        with pytest.raises(ValueError, match="expansion base must be nonconstant"):
+            taylor_coefficients(P(1, 0, 0), Polynomial([2]), 2)
+        with pytest.raises(ValueError, match="degree of f exceeds"):
+            taylor_coefficients(x_power(5), x_power(2), 2)
 
     def test_reassembly_randomized(self):
         rng = random.Random(31)
@@ -411,6 +470,8 @@ class TestTextFormat:
             parse_polynomial("1,,2")
         with pytest.raises(ValueError):
             parse_scalar("1/0")
+        with pytest.raises(ValueError, match="unknown field 'real32'"):
+            parse_scalar("1", "real32")
 
     def test_format_zero(self):
         assert format_polynomial(Polynomial()) == "0"
@@ -423,8 +484,8 @@ class TestTextFormat:
                 format_polynomial(p)
 
 
-class TestAllclose:
-    def test_within_tolerance(self):
+class TestFloatComparison:
+    def test_exact_equality_and_max_abs_difference(self):
         # float polynomials compare exactly; closeness is a max-abs bound on the difference
         p = Polynomial([0.0, 2.0, 1.0])
         q = Polynomial([1e-12, 2.0 + 1e-12, 1.0])
