@@ -19,6 +19,7 @@ import csv
 import io
 import json
 import sys
+from typing import Callable
 
 from .collisions import CollisionParams, alpha_exp, alpha_trig
 from .decompose import is_composite, is_decomposable, try_decompose
@@ -46,8 +47,11 @@ class DomainError(Exception):
 
 def _emit(text: str, out: str | None) -> None:
     if out:
-        with open(out, "w") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(out, "w") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            raise ValueError(f"cannot write --out {out!r}: {exc.strerror}") from None
     else:
         print(text)
 
@@ -95,12 +99,7 @@ def _parse_list(text: str, flag: str, kind) -> list:
 
 def _cmd_estimate(args) -> int:
     field = ESTIMATE_FIELDS[args.field]
-    if args.union:
-        divisors: list[int | None] = [None]
-    elif args.d is not None:
-        divisors = _parse_list(args.d, "--d", int)
-    else:
-        raise ValueError("estimate needs --d or --union")
+    divisors = [None] if args.union else _parse_list(args.d, "--d", int)
     eps_values = _parse_list(args.eps, "--eps", float)
     _require_composite(args.n)
     rows = []
@@ -120,7 +119,7 @@ def _cmd_estimate(args) -> int:
     return EXIT_OK
 
 
-def _collision_params(payload: object, field: str) -> tuple[CollisionParams, str]:
+def _collision_params(payload: object, field: str) -> tuple[CollisionParams, Callable]:
     if not isinstance(payload, dict):
         raise ValueError("collision parameters must be a JSON object")
     try:
@@ -136,9 +135,9 @@ def _collision_params(payload: object, field: str) -> tuple[CollisionParams, str
                 raise ValueError("exponential variant needs w as a list of lower coefficients")
             lower = [parse_scalar(str(c), field) for c in payload["w"]]
             w = Polynomial(list(reversed(lower)) + [1])
-            return CollisionParams(n=n, d=d, u=u, v=v, a=a, w=w), variant
+            return CollisionParams(n=n, d=d, u=u, v=v, a=a, w=w), alpha_exp
         z = parse_scalar(str(payload["z"]), field) if "z" in payload else None
-        return CollisionParams(n=n, d=d, u=u, v=v, a=a, z=z), variant
+        return CollisionParams(n=n, d=d, u=u, v=v, a=a, z=z), alpha_trig
     except KeyError as exc:
         raise ValueError(f"collision parameters missing {exc}") from None
 
@@ -148,8 +147,8 @@ def _cmd_collide(args) -> int:
         payload = json.loads(args.params)
     except json.JSONDecodeError as exc:
         raise ValueError(f"invalid JSON parameters: {exc}") from None
-    params, variant = _collision_params(payload, args.field)
-    f = alpha_exp(params) if variant == "exp" else alpha_trig(params)
+    params, construct = _collision_params(payload, args.field)
+    f = construct(params)
     d, e = params.d, params.e
     at_d, at_e = try_decompose(f, d), try_decompose(f, e)
     report = {
@@ -170,24 +169,24 @@ def _build_parser() -> argparse.ArgumentParser:
         "and run tube-density experiments.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out")
+    algebraic = argparse.ArgumentParser(add_help=False, parents=[out])
+    algebraic.add_argument("--field", choices=FIELDS, default="rational")
 
-    p = sub.add_parser("compose", help="compose two monic original polynomials")
+    p = sub.add_parser("compose", parents=[algebraic], help="compose two monic original polynomials")
     p.add_argument("g")
     p.add_argument("h")
-    p.add_argument("--field", choices=FIELDS, default="rational")
-    p.add_argument("--out")
     p.set_defaults(func=_cmd_compose)
 
-    p = sub.add_parser("decompose", help="find decompositions f = g(h)")
+    p = sub.add_parser("decompose", parents=[algebraic], help="find decompositions f = g(h)")
     p.add_argument("f")
     p.add_argument("--d", type=int, default=None, help="only this divisor")
-    p.add_argument("--field", choices=FIELDS, default="rational")
-    p.add_argument("--out")
     p.set_defaults(func=_cmd_decompose)
 
-    p = sub.add_parser("estimate", help="Monte Carlo tube-density estimate")
+    p = sub.add_parser("estimate", parents=[out], help="Monte Carlo tube-density estimate")
     p.add_argument("--n", type=int, required=True)
-    target = p.add_mutually_exclusive_group()
+    target = p.add_mutually_exclusive_group(required=True)
     target.add_argument("--d", help="proper divisor, or comma list for a sweep")
     target.add_argument("--union", action="store_true", help="union of the two largest components")
     p.add_argument("--eps", required=True, help="tube radius, or comma list for a sweep")
@@ -197,16 +196,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--field", choices=tuple(ESTIMATE_FIELDS), default="real64")
     p.add_argument("--mode", choices=("plain", "conditional"), default="plain")
     p.add_argument("--format", choices=("json", "csv"), default="json")
-    p.add_argument("--out")
     p.set_defaults(func=_cmd_estimate)
 
-    p = sub.add_parser("collide", help="build a doubly decomposable polynomial")
+    p = sub.add_parser("collide", parents=[algebraic], help="build a doubly decomposable polynomial")
     p.add_argument(
         "params",
         help='JSON: {"variant": "exp"|"trig", "n", "d", "u", "v", "a", "w"|"z"}',
     )
-    p.add_argument("--field", choices=FIELDS, default="rational")
-    p.add_argument("--out")
     p.set_defaults(func=_cmd_collide)
     return parser
 

@@ -24,7 +24,6 @@ polynomial right inverse of composition; `batched._section` computes it.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -254,8 +253,6 @@ def try_decompose(f: Polynomial, d: int) -> Decomposition | None:
     singular first fit, overflow and a non-finite rho reject.
     """
     if not f.is_exact():
-        if not all(map(cmath.isfinite, f.coeffs)):
-            raise ValueError("polynomial coefficients must be finite")
         return _polished(f, right_component(f, d), d)
     c, f, h = _integer_components(f, d)
     g = []
@@ -271,7 +268,9 @@ def _polished(f: Polynomial, h: Polynomial, d: int) -> Decomposition | None:
     n, e = f.degree, h.degree
     dtype = complex if any(isinstance(c, complex) for c in f.coeffs) else float
     fv = np.array(f.coeffs, dtype=dtype)
-    norm = max(1.0, np.abs(fv).max())
+    if not math.isfinite(norm := np.abs(fv).max()):
+        raise ValueError("polynomial coefficients must be finite")
+    norm = max(1.0, norm)
 
     def lstsq(a, b):  # normal equations of a with unit columns
         s = 1 / np.linalg.norm(a, axis=0)

@@ -42,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .batched import section_batch
-from .decompose import dimension, divisor_plan, is_composite, nt_set, section
+from .decompose import divisor_plan, is_composite, nt_set, section
 
 _BLOCK_SIZE = 1 << 16
 # rows per section call; a power of two >= 64, so that tiles start on numpy's
@@ -137,7 +137,7 @@ def density_bounds(spec: TubeSpec) -> DensityBounds:
     16 do (ROADMAP item 8).
     """
     ns = nt_set(spec.n, spec.divisors[0])
-    dim = dimension(spec.n, ns.d)
+    dim = len(ns.nt)  # d + n/d - 2
     power = 1 if spec.field == "real" else 2
     r = spec.epsilon / spec.B
     raw = len(spec.divisors) * r ** (power * ns.codim)
@@ -269,8 +269,7 @@ def _box_weights(pred, epsilon: float, B: float, x: np.ndarray) -> None:
         np.add(row, epsilon, out=w)
         w -= B
         np.maximum(w, 0.0, out=w)  # over_hi
-        np.subtract(row, epsilon, out=over_lo)
-        np.negative(over_lo, out=over_lo)
+        np.subtract(epsilon, row, out=over_lo)
         over_lo -= B
         np.maximum(over_lo, 0.0, out=over_lo)
         np.subtract(2.0 * epsilon, w, out=w)
@@ -281,7 +280,10 @@ def _box_weights(pred, epsilon: float, B: float, x: np.ndarray) -> None:
 
 
 def _disk_weights(pred, epsilon: float, B: float, x: np.ndarray) -> None:
-    w = disk_overlap_area(np.abs(pred), epsilon, B) / (math.pi * B * B)
+    k = math.frexp(B)[1]  # B's binary frame: exact, and pi * B * B cannot over/underflow
+    epsilon, B = math.ldexp(epsilon, -k), math.ldexp(B, -k)
+    dist = np.abs(pred)
+    w = disk_overlap_area(np.ldexp(dist, -k, out=dist), epsilon, B) / (math.pi * B * B)
     w.prod(axis=0, out=x)
 
 

@@ -264,6 +264,11 @@ class TestEstimate:
         assert code == 0 and out == ""
         assert json.loads(path.read_text())["n"] == 4
 
+    def test_target_required(self, capsys):
+        code, out, err = run(capsys, "estimate", "--n", "6", "--eps", "0.1")
+        assert code == 2
+        assert not out and "--d" in err and "--union" in err
+
 
 class TestCollide:
     def test_trig_example(self, capsys):
@@ -366,6 +371,13 @@ class TestUsage:
 
     def test_no_command(self, capsys):
         assert main([]) == 2
+
+    @pytest.mark.parametrize("where", ["missing-dir", "directory"])
+    def test_unwritable_out_is_usage_error(self, capsys, tmp_path, where):
+        path = tmp_path / "absent" / "x.txt" if where == "missing-dir" else tmp_path
+        code, out, err = run(capsys, "compose", "1,1,0", "1,2,0", "--out", str(path))
+        assert code == 2
+        assert not out and "cannot write --out" in err
 
 
 class TestProcess:

@@ -248,10 +248,24 @@ class TestTryDecompose:
         f = to_float(P(1, 0, 0, 1, 0))  # x^4 + x
         assert try_decompose(f, 2) is None
 
-    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, complex(0, math.nan)])
-    def test_non_finite_coefficient_rejected(self, bad):
+    @pytest.mark.parametrize(
+        "coeffs",
+        [
+            pytest.param([0.0, math.nan, 0.0, 0.0, 1.0], id="nan"),
+            pytest.param([0.0, math.inf, 0.0, 0.0, 1.0], id="inf"),
+            pytest.param([0.0, -math.inf, 0.0, 0.0, 1.0], id="-inf"),
+            pytest.param([0.0, complex(0, math.nan), 0.0, 0.0, 1.0], id="nanj"),
+            # a NaN and an inf in the middle, away from the coefficients the root reads
+            pytest.param([0.0, 0.5, math.nan, -math.inf, 0.25, -0.5, 1.0], id="float-middle"),
+            pytest.param(
+                [0.0, 0.5j, complex(math.nan, 1), complex(1, math.inf), 0.25, -0.5, 1.0],
+                id="complex-middle",
+            ),
+        ],
+    )
+    def test_non_finite_coefficient_rejected(self, coeffs):
         # abs(nan) >= threshold is False, so no threshold test can reject a nan
-        f = Polynomial([0.0, bad, 0.0, 0.0, 1.0])
+        f = Polynomial(coeffs)
         with pytest.raises(ValueError, match="finite"):
             try_decompose(f, 2)
         with pytest.raises(ValueError, match="finite"):

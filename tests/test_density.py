@@ -271,6 +271,14 @@ class TestLensArea:
         r = estimate_density(spec, 20_000, seed=5, mode="conditional")
         assert (r.mean, r.std_error) == (float.fromhex(mean), float.fromhex(std_error))
 
+    def test_complex_conditional_estimate_off_a_power_of_two_radius_is_unchanged(self):
+        # recorded before the disk weights moved into B's binary frame, which
+        # is exact for every B, not only for B = 1
+        spec = TubeSpec(n=6, d=2, epsilon=0.39, B=1.3, field="complex")
+        r = estimate_density(spec, 20_000, seed=5, mode="conditional")
+        mean, std_error = "0x1.fdabad78771cep-8", "0x1.2666e369a3e6fp-17"
+        assert (r.mean, r.std_error) == (float.fromhex(mean), float.fromhex(std_error))
+
     @pytest.mark.parametrize(
         "spec,mode,mean,std_error",
         [
@@ -659,6 +667,13 @@ class TestSubspaceCalibration:
         # exact value is (eps/B)^(2(n-k))
         r = estimate_subspace_density(4, 2, 0.25, 1.0, 10_000, seed=13, mode="conditional", field="complex")
         assert abs(r.mean - 0.25**4) < 1e-12
+
+    @pytest.mark.parametrize("B", [1e-200, 1e-160, 1e160, 1e200])
+    def test_complex_conditional_at_extreme_radius(self, B):
+        # the lens area and pi * B * B leave the float range at these B;
+        # the weights depend on eps/B alone
+        r = estimate_subspace_density(5, 2, 0.5 * B, B, 4096, seed=1, mode="conditional", field="complex")
+        assert r.mean == 0.5**6
 
 
 class TestReport:

@@ -61,10 +61,10 @@ def test_readme_cli_examples_print_what_they_show(capsys):
 def test_demo_runs(demo):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    # the pytest filter that makes a RuntimeWarning an error does not reach a subprocess
-    env["PYTHONWARNINGS"] = "error::RuntimeWarning"
+    # pytest's warning filters do not reach a subprocess, so each demo runs
+    # with every warning an error
     proc = subprocess.run(
-        [sys.executable, str(ROOT / "demos" / demo)],
+        [sys.executable, "-W", "error", str(ROOT / "demos" / demo)],
         cwd=ROOT, env=env, capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr

@@ -171,6 +171,17 @@ class TestRingOps:
             "Polynomial([0.8148148148148148, 1.0370370370370372]))"
         )
 
+    def test_divmod_of_exact_by_float_divisor_is_all_float(self):
+        # an int leading coefficient over float lower ones: the quotient
+        # follows both operands, not the type of each running coefficient
+        a, b = Polynomial([Fraction(1, 3), 2, 3, 4, 5]), Polynomial([1.5, 1, 3])
+        q, r = divmod(a, b)
+        assert all(type(c) is float for c in (*q.coeffs, *r.coeffs))
+        # the exact division of the same values, as an independent oracle
+        qe, re = divmod(a, Polynomial([Fraction(3, 2), 1, 3]))
+        assert q.coeffs == pytest.approx([float(c) for c in qe.coeffs], rel=1e-14)
+        assert r.coeffs == pytest.approx([float(c) for c in re.coeffs], rel=1e-14)
+
     def test_divmod_by_scalar_or_zero(self):
         assert divmod(Polynomial([1, 2, 3]), 2) == (
             Polynomial([Fraction(1, 2), 1, Fraction(3, 2)]),
