@@ -5,19 +5,22 @@ rows; `decompose.section_components` runs it over one dtype=object row of
 Python scalars, so exact input stays exact.  The kernel is coefficient-major:
 the input is transposed once, so that each coefficient is one contiguous
 length-N vector.  The d-th root of the reversed top coefficients comes from
-the triangular power recurrence (Knuth, TAOCP vol. 2, section 4.7).  Each
-power h^j is one (e*j + 1, N) slice of a buffer that holds them all, built
-in place row by row from h^(j-1); g is solved top down from the determining
-coefficients, and f = sum g_j h^j is summed in place over the powers.
+the triangular power recurrence (Knuth, TAOCP vol. 2, section 4.7).  One
+buffer holds the transposed input, h, its powers and g.  Each power h^j is
+one (e*j + 1, N) slice of it, built in place row by row from h^(j-1); g is
+solved top down from the determining coefficients, and f = sum g_j h^j is
+summed in place over the powers.  The buffer is not zeroed: every row is
+written, and only the rows below j of h^j, which are zero, are set as such.
 
-One loop builds each power row: the products of rows of h^(j-1) and h
-with h index i < e, summed in ascending i, then the term of h_e = 1.  Only
-that sum depends on the dtype.  float64 rows take it in one ``np.einsum``
-call, which sums in that order and so gives the bytes of a multiply-then-add
-loop; numpy does not document einsum's order, so tests pin the bytes.
-complex128 and dtype=object rows take one multiply and one add per term:
-einsum on complex128 rounds differently in the last bits, and einsum on
-dtype=object needs numpy >= 1.25, above the supported floor.
+One loop builds each power row: the products of rows of h^(j-1) and h,
+summed in ascending h index i, the last term that of h_e = 1.  Only that sum
+depends on the dtype.  float64 rows take it in one ``np.einsum`` call, with
+h_e as its last term, which sums in that order and so gives the bytes of a
+multiply-then-add loop; numpy does not document einsum's order, so tests pin
+the bytes.  complex128 and dtype=object rows take one multiply and one add
+per term i < e, then add the row of h_e with no product: einsum on
+complex128 rounds differently in the last bits, and einsum on dtype=object
+needs numpy >= 1.25, above the supported floor.
 
 Column convention: a coefficient matrix of shape (N, n-1) holds, per row, the
 coefficients of x^1 ... x^(n-1) ascending (column j is the coefficient of
@@ -57,39 +60,50 @@ def series_root_batch(u: np.ndarray, d: int) -> np.ndarray:
 def _section(coords: np.ndarray, d: int) -> tuple[np.ndarray, list]:
     """g (rows 1..d-1 used) and the powers [None, h, h^2, ..., h^d] of the
     section at the coefficient-major transpose of `section_batch`'s input."""
-    e = coords.shape[0] - d + 2
-    one = np.ones((1, coords.shape[1]), dtype=coords.dtype)
+    k, N = coords.shape
+    e = k - d + 2
+    # one buffer, written and not zeroed, holds the input, h, its powers and
+    # g: malloc can hand it back to the next call, where an array per power
+    # faults in new pages
+    rest = np.empty((k + sum(e * j + 1 for j in range(1, d + 1)) + d, N), dtype=coords.dtype)
+    rest[:k] = coords
+    coords, rest = rest[:k], rest[k:]
+    one = np.ones((1, N), dtype=coords.dtype)
     tmp = np.empty_like(one[0])
 
     # the root of the reversed top coefficients [1, f_{n-1}, ..., f_{n-e+1}]
     # gives the right component h, rows 0..e ascending
     q = series_root_batch(np.concatenate([one, coords[d - 1 :][::-1]]), d)
-    h = np.concatenate([np.zeros_like(one), q[:0:-1], one])
 
     # row m of h^j is sum_i h_i h^(j-1)[m-i] where h^(j-1) is nonzero (rows
-    # j-1 .. e(j-1)): the terms i < e in ascending i, then h_e = 1 with no
-    # product.  The powers are slices of one zeroed buffer: malloc can hand
-    # it back to the next call, where a block per power faults in new pages
+    # j-1 .. e(j-1)), in ascending i; the last term is h_e = 1
+    h, rest = rest[: e + 1], rest[e + 1 :]
+    h[0], h[1:e], h[e] = 0, q[:0:-1], 1
     powers = [None, h]
-    rest = np.zeros((sum(e * j + 1 for j in range(2, d + 1)), tmp.size), dtype=coords.dtype)
     for j in range(2, d + 1):
         prev = powers[-1]
         p, rest = rest[: e * j + 1], rest[e * j + 1 :]
+        p[:j] = 0
         for m in range(j, e * j + 1):
-            lo, hi = max(1, m - e * (j - 1)), min(e - 1, m - j + 1)
-            if coords.dtype == np.float64:
+            lo = max(1, m - e * (j - 1))
+            if coords.dtype == np.float64:  # h_e = 1 as the last einsum term
+                hi = min(e, m - j + 1)
                 np.einsum("ij,ij->j", prev[m - hi : m - lo + 1][::-1], h[lo : hi + 1], out=p[m])
-            elif lo <= hi:  # the top row m = e*j has no term i < e
+                continue
+            hi = min(e - 1, m - j + 1)
+            if lo <= hi:
                 np.multiply(prev[m - lo], h[lo], out=p[m])
                 for i in range(lo + 1, hi + 1):
                     np.multiply(prev[m - i], h[i], out=tmp)
                     p[m] += tmp
+            else:  # the top row m = e*j has no term i < e
+                p[m] = 0
             if m - e >= j - 1:
                 p[m] += prev[m - e]
         powers.append(p)
 
     # g_i = f_(e*i) - sum_{j>i} g_j [h^j]_(e*i), top down, with g_d = 1
-    g = np.empty((d, tmp.size), dtype=coords.dtype)
+    g = rest
     for i in range(d - 1, 0, -1):
         g[i] = coords[i - 1]
         for j in range(i + 1, d):
@@ -115,7 +129,7 @@ def section_batch(nt_coords: np.ndarray, n: int, d: int) -> np.ndarray:
     if nt_coords.ndim != 2 or nt_coords.shape[1] != d + e - 2:
         raise ValueError(f"expected a 2-D array of {d + e - 2} coordinate columns")
     dtype = np.result_type(nt_coords, np.float64)
-    g, powers = _section(np.ascontiguousarray(nt_coords.T, dtype=dtype), d)
+    g, powers = _section(nt_coords.T.astype(dtype, copy=False), d)
 
     # f = g_1 h + ... + g_d h^d, summed in ascending j in place: each h^j is
     # scaled by g_j and takes the running sum of the lower terms

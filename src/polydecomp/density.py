@@ -18,22 +18,24 @@ density.  This module provides
 Estimators draw from counter-based Philox streams keyed by (seed, block) and
 sum the blocks in block order, so results are reproducible and do not depend
 on ``threads``, the number of worker threads that run the blocks.  Both
-modes run one block worker.  It draws its whole block (every coordinate in
-plain mode, the determining ones in conditional mode) from the field's
-sampler, then fills one float64 value per sample in row tiles: the union
-indicator as 0.0 or 1.0 in plain mode, the product of the field's overlap
-weights in conditional mode.  It returns the block's sums of x and x*x; the
-sums of 0/1 values are exact hit counts.  Tiles bound the memory of a block
-(the powers of h for one (64, 8) tile hold about 19 MB), and every
-per-sample value and every summation order is that of an untiled block, so
-the tile size never changes a result.  The section comes back
-coefficient-major, one contiguous row per complement coefficient, and the
-per-sample weight is the product of one weight per such row, multiplied in
-ascending coefficient order.
+modes run one block worker.  It fills one float64 value x per sample, tile
+by tile: the union indicator as 0.0 or 1.0 in plain mode, the product of
+the field's overlap weights in conditional mode.  Each tile is drawn from
+its part of the block's stream (every coordinate in plain mode, the
+determining ones in conditional mode), solved and weighed in place, so x is
+the only block-sized array (the powers of h for one (64, 8) tile hold about
+19 MB).  Every draw, per-sample value and summation order is that of an
+untiled block, so the tile size never changes a result.  The section is
+read coefficient-major, one contiguous row per complement coefficient, and
+the per-sample weight is the product of one weight per such row, multiplied
+in ascending coefficient order.  A block returns the sum of x (for 0/1
+values an exact hit count) and the sum of its squares in the power-of-two
+frame of its largest x, where a square cannot underflow while x does not.
 """
 
 from __future__ import annotations
 
+import copy
 import math
 import numbers
 from concurrent.futures import ThreadPoolExecutor
@@ -220,9 +222,9 @@ class _SectionModel:
         self.dep_cols = np.array([i - 1 for i in ns.complement])
 
     def predict(self, free: np.ndarray) -> np.ndarray:
-        # (k, N): one contiguous row per complement coefficient, the layout
-        # the weights read; section_batch returns a transposed view
-        return section_batch(free, self.n, self.d).T[self.dep_cols]
+        # (n-1, N): the coefficient-major section, read in place at the
+        # rows dep_cols; section_batch returns a transposed view
+        return section_batch(free, self.n, self.d).T
 
 
 class _SubspaceModel:
@@ -236,7 +238,7 @@ class _SubspaceModel:
         self.dep_cols = np.arange(k, n)
 
     def predict(self, free: np.ndarray) -> np.ndarray:
-        return np.zeros((len(self.dep_cols), free.shape[0]), dtype=free.dtype)
+        return np.zeros((self.ambient, free.shape[0]), dtype=free.dtype)
 
 
 def _block_rng(seed: int, index: int) -> np.random.Generator:
@@ -244,28 +246,44 @@ def _block_rng(seed: int, index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _sample_box(rng, shape, B: float) -> np.ndarray:
-    return rng.uniform(-B, B, size=shape)
+# A sampler returns draw(t), the next t rows of block ``block``'s (rows,
+# width) draw; the rows of all tiles are the bytes of one whole-block draw.
 
 
-def _sample_disk(rng, shape, B: float) -> np.ndarray:
-    # inverse-CDF radial sampling: deterministic draw count per sample
-    radius = B * np.sqrt(rng.random(size=shape))
-    angle = 2.0 * math.pi * rng.random(size=shape)
-    # the bytes of radius * np.exp(1j * angle), without its complex temporaries
-    out = np.empty(shape, dtype=complex)
-    np.multiply(radius, np.cos(angle), out=out.real)
-    np.multiply(radius, np.sin(angle), out=out.imag)
-    return out
+def _sample_box(seed: int, block: int, rows: int, width: int, B: float):
+    rng = _block_rng(seed, block)
+    return lambda t: rng.uniform(-B, B, size=(t, width))  # filled row-major
 
 
-def _box_weights(pred, epsilon: float, B: float, x: np.ndarray) -> None:
-    # x = the product over the rows p of pred of |(p-eps, p+eps) ∩ (-B, B)| / 2B,
-    # written so the unclipped case is exactly 2*eps; one complement
-    # coefficient at a time, multiplied in ascending order
+def _sample_disk(seed: int, block: int, rows: int, width: int, B: float):
+    # inverse-CDF radial sampling: the block's stream holds all radii, then
+    # all angles, so a second generator on the same key reads the angles.
+    # Philox yields four doubles per counter step
+    radii = _block_rng(seed, block)
+    angles = np.random.Generator(copy.deepcopy(radii.bit_generator).advance(rows * width // 4))
+    angles.random(rows * width % 4)
+
+    def draw(t):
+        radius = B * np.sqrt(radii.random(size=(t, width)))
+        angle = 2.0 * math.pi * angles.random(size=(t, width))
+        # the bytes of radius * np.exp(1j * angle), without its complex temporaries
+        out = np.empty((t, width), dtype=complex)
+        np.multiply(radius, np.cos(angle), out=out.real)
+        np.multiply(radius, np.sin(angle), out=out.imag)
+        return out
+
+    return draw
+
+
+def _box_weights(sec, cols, epsilon: float, B: float, x: np.ndarray) -> None:
+    # x = the product over the complement rows p = sec[c] of
+    # |(p-eps, p+eps) ∩ (-B, B)| / 2B, written so the unclipped case is
+    # exactly 2*eps; one complement coefficient at a time, multiplied in
+    # ascending order
     w, over_lo = np.empty(x.size), np.empty(x.size)
     x.fill(1.0)
-    for row in pred:
+    for c in cols:
+        row = sec[c]
         np.add(row, epsilon, out=w)
         w -= B
         np.maximum(w, 0.0, out=w)  # over_hi
@@ -279,12 +297,14 @@ def _box_weights(pred, epsilon: float, B: float, x: np.ndarray) -> None:
         x *= w
 
 
-def _disk_weights(pred, epsilon: float, B: float, x: np.ndarray) -> None:
+def _disk_weights(sec, cols, epsilon: float, B: float, x: np.ndarray) -> None:
     k = math.frexp(B)[1]  # B's binary frame: exact, and pi * B * B cannot over/underflow
     epsilon, B = math.ldexp(epsilon, -k), math.ldexp(B, -k)
-    dist = np.abs(pred)
-    w = disk_overlap_area(np.ldexp(dist, -k, out=dist), epsilon, B) / (math.pi * B * B)
-    w.prod(axis=0, out=x)
+    dist = np.empty(x.size)
+    x.fill(1.0)
+    for c in cols:  # in ascending order, as in the box weights
+        np.abs(sec[c], out=dist)
+        x *= disk_overlap_area(np.ldexp(dist, -k, out=dist), epsilon, B) / (math.pi * B * B)
 
 
 # the sampler and the conditional weights of each field
@@ -305,48 +325,62 @@ def _estimate(models, field, epsilon, B, samples, seed, mode, threads) -> Estima
     def predict(model, free):
         # an overflowing section is reported by the check below, not by numpy
         with np.errstate(over="ignore", invalid="ignore"):
-            pred = model.predict(free)
-        if not np.isfinite(pred).all():
+            sec = model.predict(free)
+        if not all(np.isfinite(sec[c]).all() for c in model.dep_cols):
             raise ValueError(f"the section overflows float64 at B={B!r}")
-        return pred
+        return sec
 
     if mode == "plain":
         width = models[0].ambient
 
+        def inside(model, a):  # frees one component's section before the next
+            sec = predict(model, a[:, model.free_cols])
+            hit = np.ones(len(a), dtype=bool)
+            for c in model.dep_cols:
+                hit &= np.abs(a[:, c] - sec[c]) < epsilon
+            return hit
+
         def values(a, x):  # the union indicator, as 0.0 or 1.0
             x.fill(0.0)
             for model in models:
-                pred = predict(model, a[:, model.free_cols])
-                x[(np.abs(a[:, model.dep_cols].T - pred) < epsilon).all(axis=0)] = 1.0
+                x[inside(model, a)] = 1.0
 
     else:
         width = len(models[0].free_cols)
 
         def values(free, x):
-            weights(predict(models[0], free), epsilon, B, x)
+            weights(predict(models[0], free), models[0].dep_cols, epsilon, B, x)
 
     def block(start):
-        rng = _block_rng(seed, start // _BLOCK_SIZE)
-        a = sample(rng, (min(_BLOCK_SIZE, samples - start), width), B)
-        x = np.empty(len(a))
-        for lo in range(0, len(a), _TILE):
-            values(a[lo : lo + _TILE], x[lo : lo + _TILE])
-        return float(x.sum()), float((x * x).sum())
+        rows = min(_BLOCK_SIZE, samples - start)
+        draw = sample(seed, start // _BLOCK_SIZE, rows, width, B)
+        x = np.empty(rows)
+        for lo in range(0, rows, _TILE):
+            values(draw(min(_TILE, rows - lo)), x[lo : lo + _TILE])
+        k = math.frexp(x.max())[1]  # the block's frame 2^k
+        s = float(x.sum())
+        np.ldexp(x, -k, out=x)
+        x *= x
+        return s, float(x.sum()), k
 
     starts = range(0, samples, _BLOCK_SIZE)
     if (threads or 1) > 1 and len(starts) > 1:
         with ThreadPoolExecutor(max_workers=threads) as ex:
             partials = list(ex.map(block, starts))
     else:  # one worker runs on the calling thread, where a tracer links its spans
-        partials = map(block, starts)
-    # summed in block order, so the estimate does not depend on the worker count
+        partials = list(map(block, starts))
+    # summed in block order, so the estimate does not depend on the worker
+    # count; the squares in the largest block frame 2^K, where the scalings
+    # are exact unless a term underflows
+    K = max(k for _, _, k in partials)
     total = total_sq = 0.0
-    for s, s2 in partials:
+    for s, s2, k in partials:
         total += s
-        total_sq += s2
+        total_sq += math.ldexp(s2, 2 * (k - K))
     mean = total / samples
-    var = max(total_sq - samples * mean * mean, 0.0) / (samples - 1) if samples > 1 else 0.0
-    se = math.sqrt(var / samples)
+    m = math.ldexp(mean, -K)
+    var = max(total_sq - samples * m * m, 0.0) / (samples - 1) if samples > 1 else 0.0
+    se = math.ldexp(math.sqrt(var / samples), K)
     return EstimateResult(mean=mean, std_error=se, samples=samples, seed=seed, mode=mode)
 
 

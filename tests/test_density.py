@@ -569,16 +569,23 @@ class TestEstimators:
         assert r.mean != estimate_density(spec, 1000, seed=0, mode="plain").mean
 
 
-def test_sample_disk_bytes_equal_the_exponential_form():
-    shape = (65_536, 7)
-    for seed in range(3):
-        for B in (1e-3, 0.3, 1.0, 7.5):
-            rng = np.random.default_rng(seed)
+@pytest.mark.parametrize("field", ["real", "complex"])
+def test_tiles_draw_the_bytes_of_one_block_draw(field):
+    # width 5: 4465 and 7 rows end the radii off a four-double Philox step
+    sample, width, block = density._FIELDS[field][0], 5, 2
+    seed, B = 2**64 - 1, 0.3
+    for rows in (1, 7, 4465, 65_536):
+        rng, shape = density._block_rng(seed, block), (rows, width)
+        if field == "real":
+            whole = rng.uniform(-B, B, size=shape)
+        else:
             radius = B * np.sqrt(rng.random(size=shape))
             angle = 2.0 * math.pi * rng.random(size=shape)
-            expected = radius * np.exp(1j * angle)
-            got = density._sample_disk(np.random.default_rng(seed), shape, B)
-            assert got.dtype == np.complex128 and got.tobytes() == expected.tobytes()
+            whole = radius * np.exp(1j * angle)
+        for tile in (1, 3, 1024, 8192):
+            draw = sample(seed, block, rows, width, B)
+            got = np.concatenate([draw(min(tile, rows - lo)) for lo in range(0, rows, tile)])
+            assert got.dtype == whole.dtype and got.tobytes() == whole.tobytes(), (rows, tile)
 
 
 class TestRowTiles:
@@ -607,15 +614,20 @@ class TestRowTiles:
             assert [estimate(*case, seed) for case in self.CASES] == default, tile
 
     def test_peak_memory_of_a_block(self):
-        # a whole-block (64,8) section held about 170 MB of numpy buffers
-        spec = TubeSpec(64, 8, 0.1, 1.0)
-        tracemalloc.start()
-        try:
-            estimate_density(spec, 65_536, seed=3, mode="conditional", threads=1)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 64 * 2**20
+        # a worker holds one tile and the block's x: 22.4 and 10.6 MiB.
+        # A whole-block sample array and a gathered copy of the complement
+        # rows held 28.5 and 22.3 MiB, a whole-block section about 170 MB
+        for spec, mode, mib in [
+            (TubeSpec(64, 8, 0.1, 1.0), "conditional", 24),
+            (TubeSpec(30, 5, 0.1, 1.0), "plain", 12),
+        ]:
+            tracemalloc.start()
+            try:
+                estimate_density(spec, 65_536, seed=3, mode=mode, threads=1)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < mib * 2**20, (spec, peak)
 
 
 class TestAgainstQuadrature:
