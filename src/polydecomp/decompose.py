@@ -13,7 +13,9 @@ Float and complex input are decided by a residual instead (Corless,
 Giesbrecht, Jeffrey & Watt, "Approximate polynomial decomposition", ISSAC
 1999): linearized least-squares steps polish the candidate pair, and f
 decomposes when the polished |g(h) - f|_inf is at most
-1e-10 * max(1, |f|_inf); see `try_decompose`.
+1e-10 * max(1, |f|_inf).  That decision runs on float64 or complex128
+arrays, converted once per call and updated in place; only the witness is
+built as `Polynomial`s (see `try_decompose`).
 
 Because h is determined by the e-1 highest coefficients of f and g by the
 coefficients at powers that are multiples of e, the whole candidate (g, h)
@@ -33,11 +35,12 @@ import numpy as np
 
 from .batched import _section
 from .polynomial import (
+    EXACT_TYPES,
     Polynomial,
+    _dth_root,
     _taylor_terms,
     compose,
     require_monic_original,
-    series_dth_root,
 )
 
 # the largest relative residual rho of an accepted float witness
@@ -224,17 +227,42 @@ def right_component(f: Polynomial, d: int) -> Polynomial:
     depends only on the coefficients f_{n-1}, ..., f_{n-e+1}.  Exact input
     takes the integer root of the scaled F(x) = c^n f(x/c) and returns
     h(x) = c^-e H(cx); float and complex input return the unpolished root
-    candidate of `series_dth_root`, which `try_decompose` then polishes.
+    candidate that `try_decompose` polishes.
     """
     if f.is_exact():
         c, _, H = _integer_components(f, d)
         return _unscale(H, c)
+    return Polynomial(_root_candidate(f, d))
+
+
+def _root_candidate(f: Polynomial, d: int) -> list:
+    """h_0, ..., h_e of the root candidate of float or complex f: the reverse
+    of the `series_dth_root` of 1 + f_(n-1) x + ... + f_(n-e+1) x^(e-1).
+
+    Trailing zeros of that series and of its root are dropped, as a
+    `Polynomial` drops them: so a top whose nonzero coefficients are all
+    exact gives a Fraction root, and a zero tail of the root gives int 0.
+    """
     require_monic_original(f)
     n = f.degree
     _require_proper_divisor(n, d)
     e = n // d
-    tilde_h = series_dth_root(Polynomial([1, *(f[n - j] for j in range(1, e))]), d, e)
-    return Polynomial([0, *(tilde_h[e - j] for j in range(1, e)), 1])
+    u = [1, *f.coeffs[n - 1 : n - e : -1]]
+    while u[-1] == 0:
+        u.pop()
+    q = _dth_root(u, d, e, all(isinstance(c, EXACT_TYPES) for c in u))
+    while q[-1] == 0:
+        q.pop()
+    return [0, *[0] * (e - len(q)), *q[:0:-1], 1]
+
+
+def _lstsq(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """x minimizing |a x - b|_2, from the normal equations of a with unit
+    columns; the column norms are computed as `np.linalg.norm` does."""
+    s = 1 / np.sqrt(np.add.reduce((a.conj() * a).real, axis=0))
+    a = a * s
+    ah = a.conj().T
+    return s * np.linalg.solve(ah @ a, ah @ b)
 
 
 def try_decompose(f: Polynomial, d: int) -> Decomposition | None:
@@ -242,74 +270,81 @@ def try_decompose(f: Polynomial, d: int) -> Decomposition | None:
 
     Exact input needs every Taylor coefficient of F around H constant (see
     the module docstring); g and h are scaled back only on accept.  Float or
-    complex input raises ValueError unless every coefficient is finite.  h
-    starts at `right_component` and g at the least-squares fit of f - h^d by
-    h, ..., h^(d-1).  Linearized least-squares steps on g_1..g_(d-1) and
-    h_1..h_(e-1) go on while each cuts rho = |g(h) - f|_inf / max(1, |f|_inf)
-    at least tenfold; they stop at rho = 0 or at a step that does not, which
-    is kept only if it lowered rho.  f decomposes when the polished rho is at
-    most 1e-10, with the polished pair (Python floats or complexes) as its
-    witness.  A singular step ends the polish as a stalled one does; a
-    singular first fit, overflow and a non-finite rho reject.
+    complex input raises ValueError unless every coefficient is finite.  It
+    is decided on numpy arrays: f converted once, one matrix of the powers
+    h^0, ..., h^d and one Jacobian, updated in place.  h starts at the root
+    candidate of `right_component` and g at the least-squares fit of
+    f - h^d by h, ..., h^(d-1).  Linearized least-squares steps on
+    g_1..g_(d-1) and h_1..h_(e-1) go on while each cuts
+    rho = |g(h) - f|_inf / max(1, |f|_inf) at least tenfold; they stop at
+    rho = 0 or at a step that does not, which is kept only if it lowered
+    rho.  f decomposes when the polished rho is at most 1e-10, with the
+    polished pair (Python floats or complexes) as its witness.  A singular
+    step ends the polish as a stalled one does; a singular first fit,
+    overflow and a non-finite rho reject.
     """
-    if not f.is_exact():
-        return _polished(f, right_component(f, d), d)
-    c, f, h = _integer_components(f, d)
-    g = []
-    for gi in _taylor_terms(f, h, d):
-        if gi.degree > 0:
-            return None
-        g.append(gi[0])
-    return Decomposition(g=_unscale(Polynomial(g), c ** h.degree), h=_unscale(h, c))
-
-
-def _polished(f: Polynomial, h: Polynomial, d: int) -> Decomposition | None:
-    """The float half of `try_decompose`, from the root candidate h."""
-    n, e = f.degree, h.degree
-    dtype = complex if any(isinstance(c, complex) for c in f.coeffs) else float
-    fv = np.array(f.coeffs, dtype=dtype)
+    if f.is_exact():
+        c, f, h = _integer_components(f, d)
+        g = []
+        for gi in _taylor_terms(f, h, d):
+            if gi.degree > 0:
+                return None
+            g.append(gi[0])
+        return Decomposition(g=_unscale(Polynomial(g), c ** h.degree), h=_unscale(h, c))
+    h0 = _root_candidate(f, d)
+    n, e = f.degree, f.degree // d
+    fv = np.array(f.coeffs)
+    if fv.dtype not in (np.float64, np.complex128):  # Fractions mixed with floats
+        fv = np.array(f.coeffs, complex if any(isinstance(c, complex) for c in f.coeffs) else float)
     if not math.isfinite(norm := np.abs(fv).max()):
         raise ValueError("polynomial coefficients must be finite")
     norm = max(1.0, norm)
+    # rows k of gs and hs hold the current pair, rows 1 - k the next one
+    gs = np.zeros((2, d + 1), fv.dtype)
+    gs[:, d] = 1
+    hs = np.array([h0, h0], fv.dtype)
+    p = np.zeros((d + 1, n + 1), fv.dtype)  # row i is h^i
+    p[0, 0] = 1
+    jac = np.zeros((n - 1, d + e - 2), fv.dtype)  # columns h^i, then x^j g'(h)
+    # x^j g'(h) for j = 1..e-1 read as one Toeplitz view of g'(h) after e-2 zeros
+    dg = np.zeros(n + e - 3, fv.dtype)
+    size = dg.itemsize
+    shifts = np.ndarray((n - 1, e - 1), dg.dtype, dg, (e - 2) * size, (size, -size))
+    weights = np.arange(1, d + 1)
+    hcols = p[1:d, 1:n].T  # h^1..h^(d-1) at x^1..x^(n-1): the Jacobian's g columns
 
-    def lstsq(a, b):  # normal equations of a with unit columns
-        s = 1 / np.linalg.norm(a, axis=0)
-        a = a * s
-        return s * np.linalg.solve(a.conj().T @ a, a.conj().T @ b)
-
-    def powers(h):  # row i is h^i, padded to n + 1 coefficients
-        p = np.zeros((d + 1, n + 1), dtype=dtype)
-        p[0, 0] = 1
+    def powers(h):
         p[1, : e + 1] = h
+        # np.convolve(a, h) is np.correlate(a, conj(h reversed)), which
+        # conjugates its second argument back; conj of a real array is itself
+        hc = h[::-1].conj()
         for i in range(2, d + 1):
-            p[i, : i * e + 1] = np.convolve(p[i - 1, : (i - 1) * e + 1], h)
-        return p
+            p[i, : i * e + 1] = np.correlate(p[i - 1, : (i - 1) * e + 1], hc, "full")
 
-    rho, best = math.inf, None
+    rho, best, k = math.inf, None, 0
+    g, h = gs[0], hs[0]
     with np.errstate(all="ignore"):
         try:
-            h = np.array(h.coeffs, dtype=dtype)
-            p = powers(h)
-            g = np.concatenate([[0], lstsq(p[1:d, 1:n].T, fv[1:n] - p[d, 1:n]), [1]])
+            powers(h)
+            g[1:d] = _lstsq(hcols, fv[1:n] - p[d, 1:n])
             while True:
                 r = (g @ p - fv)[1:n]
-                trial = np.abs(r).max() / norm
+                trial = np.maximum.reduce(np.abs(r)) / norm
                 if not trial < rho:
                     break
                 cut = 0 < trial <= rho / 10
                 rho, best = trial, (g, h)
                 if not cut:
                     break
-                # the Jacobian of g(h): columns h^i, then x^j g'(h)
-                jac = np.zeros((n - 1, d + e - 2), dtype=dtype)
-                jac[:, : d - 1] = p[1:d, 1:n].T
-                dg = np.arange(1, d + 1) * g[1:] @ p[:d]
-                for j in range(1, e):
-                    jac[j - 1 :, d - 2 + j] = dg[: n - j]
-                step = lstsq(jac, -r)
-                g = g + np.concatenate([[0], step[: d - 1], [0]])
-                h = h + np.concatenate([[0], step[d - 1 :], [0]])
-                p = powers(h)
+                jac[:, : d - 1] = hcols
+                dg[e - 2 :] = (weights * g[1:] @ p[:d])[: n - 1]
+                jac[:, d - 1 :] = shifts
+                step = _lstsq(jac, -r)
+                k = 1 - k
+                np.add(g[1:d], step[: d - 1], out=gs[k, 1:d])
+                np.add(h[1:e], step[d - 1 :], out=hs[k, 1:e])
+                g, h = gs[k], hs[k]
+                powers(h)
         except np.linalg.LinAlgError:
             pass  # a singular step ends the polish as a stalled one does
     if not rho <= _TAU:

@@ -279,19 +279,16 @@ def _box_weights(sec, cols, epsilon: float, B: float, x: np.ndarray) -> None:
     # x = the product over the complement rows p = sec[c] of
     # |(p-eps, p+eps) ∩ (-B, B)| / 2B, written so the unclipped case is
     # exactly 2*eps; one complement coefficient at a time, multiplied in
-    # ascending order
-    w, over_lo = np.empty(x.size), np.empty(x.size)
+    # ascending order.  As 0 < eps < B, only the side of p's sign can
+    # overhang, by max(|p| + eps - B, 0); for p < 0, |p| + eps is eps - p
+    w = np.empty(x.size)
     x.fill(1.0)
     for c in cols:
-        row = sec[c]
-        np.add(row, epsilon, out=w)
+        np.abs(sec[c], out=w)
+        w += epsilon
         w -= B
-        np.maximum(w, 0.0, out=w)  # over_hi
-        np.subtract(epsilon, row, out=over_lo)
-        over_lo -= B
-        np.maximum(over_lo, 0.0, out=over_lo)
+        np.maximum(w, 0.0, out=w)  # the overhang
         np.subtract(2.0 * epsilon, w, out=w)
-        w -= over_lo
         np.maximum(w, 0.0, out=w)
         w /= 2.0 * B
         x *= w

@@ -298,9 +298,11 @@ def series_dth_root(p: Polynomial, d: int, k: int) -> Polynomial:
     of `batched.series_root_batch`; requires p(0) = 1.  Exact input stays
     exact; otherwise each ((d+1)j - d*t)/d is an int/int division, rounded
     once, so the bits equal the batched kernel's on one dtype=object column.
-    It stays a scalar loop: on one float64 column the kernel took 60-225 us
-    per root against 6-18 us here (2-core host, numpy 2.4), while a whole
-    float `try_decompose` takes 145-250 us.
+    It stays a scalar loop, `_dth_root`, which the float `try_decompose`
+    runs directly: at the benchmark's float cases (12,3) to (100,10), the
+    kernel took 33-211 us per root on one float64 column against 4-11 us
+    here, while a whole float `try_decompose` takes 72-285 us (2-core x86-64
+    host, numpy 2.4).
     """
     if d <= 0:
         raise ValueError("root index must be positive")
@@ -308,8 +310,12 @@ def series_dth_root(p: Polynomial, d: int, k: int) -> Polynomial:
         raise ValueError("truncation order must be positive")
     if p[0] != 1:
         raise SeriesNormalizationError("series constant term must be 1")
-    exact = p.is_exact()
-    u = p.coeffs[:k]
+    return Polynomial(_dth_root(p.coeffs[:k], d, k, p.is_exact()))
+
+
+def _dth_root(u: Sequence, d: int, k: int, exact: bool) -> list:
+    """q_0, ..., q_(k-1) of `series_dth_root` from the coefficients u of p,
+    u_0 = 1; each u_j with j >= len(u) counts as 0 and adds no term."""
     q = [1]
     for t in range(1, k):
         s = 0
@@ -318,7 +324,7 @@ def series_dth_root(p: Polynomial, d: int, k: int) -> Polynomial:
             if m:
                 s += (Fraction(m, d) if exact else m / d) * u[j] * q[t - j]
         q.append(Fraction(s, t) if exact else s / t)
-    return Polynomial(q)
+    return q
 
 
 def _taylor_terms(f: Polynomial, h: Polynomial, d: int) -> Iterator[Polynomial]:

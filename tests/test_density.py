@@ -588,6 +588,28 @@ def test_tiles_draw_the_bytes_of_one_block_draw(field):
             assert got.dtype == whole.dtype and got.tobytes() == whole.tobytes(), (rows, tile)
 
 
+@pytest.mark.parametrize("epsilon,B", [(0.1, 1.0), (0.5, 1.0), (0.3, 0.31), (1e-300, 1.0), (2.0, 1e10)])
+def test_box_weights_at_the_clip_edges(epsilon, B):
+    # |(p - eps, p + eps) ∩ (-B, B)| / 2B over Fractions of the same doubles,
+    # at both signs of 0, eps, B, B -+ eps, 2 eps and the least subnormal, and
+    # at the float neighbours of each; the rounding of |p| + eps - B is in
+    # ulps of |p| + eps, so the allowance is too
+    edges = []
+    for t in (0.0, epsilon, B, B - epsilon, B + epsilon, 2 * epsilon, 5e-324):
+        for y in (t, -t):
+            edges += [y, math.nextafter(y, math.inf), math.nextafter(y, -math.inf)]
+    p = np.array(edges)
+    x = np.empty(p.size)
+    density._box_weights(p[np.newaxis], [0], epsilon, B, x)
+    e, b = Fraction(epsilon), Fraction(B)
+    for pi, xi in zip(edges, x.tolist()):
+        q = Fraction(pi)
+        want = max(min(q + e, b) - max(q - e, -b), 0) / (2 * b)
+        allowance = 3 * math.ulp(abs(pi) + epsilon) / (2 * B) + math.ulp(float(want))
+        assert abs(Fraction(xi) - want) <= allowance, (pi, xi, float(want))
+        assert 0 <= xi <= epsilon / B
+
+
 class TestRowTiles:
     """Workers compute each block in row tiles; the tile size is invisible."""
 

@@ -181,8 +181,8 @@ def test_exact_input_never_runs_the_float_polish(monkeypatch):
 
         return wrapper
 
-    monkeypatch.setattr(decompose, "series_dth_root", counted("root", polynomial.series_dth_root))
-    monkeypatch.setattr(decompose, "_polished", counted("polish", decompose._polished))
+    monkeypatch.setattr(decompose, "_dth_root", counted("root", polynomial._dth_root))
+    monkeypatch.setattr(decompose, "_lstsq", counted("polish", decompose._lstsq))
     rng = random.Random(24)
     g, h = rand_monic_original(rng, 4, den=5), rand_monic_original(rng, 6, den=5)
     f = compose(g, h)
