@@ -4,13 +4,14 @@ The Monte Carlo estimators run it over millions of numpy float64/complex128
 rows; `decompose.section_components` runs it over one dtype=object row of
 Python scalars, so exact input stays exact.  The kernel is coefficient-major:
 the input is transposed once, so that each coefficient is one contiguous
-length-N vector.  The d-th root of the reversed top coefficients comes from
-the triangular power recurrence (Knuth, TAOCP vol. 2, section 4.7).  One
-buffer holds the transposed input, h, its powers and g.  Each power h^j is
-one (e*j + 1, N) slice of it, built in place row by row from h^(j-1); g is
-solved top down from the determining coefficients, and f = sum g_j h^j is
-summed in place over the powers.  The buffer is not zeroed: every row is
-written, and only the rows below j of h^j, which are zero, are set as such.
+length-N vector.  The d-th root of the reversed top coefficients is
+`polynomial._dth_root`, the scalar loop of `series_dth_root`, run over
+rows.  One buffer holds the transposed input, h, its powers and g.  Each
+power h^j is one (e*j + 1, N) slice of it, built in place row by row from
+h^(j-1); g is solved top down from the determining coefficients, and
+f = sum g_j h^j is summed in place over the powers.  The buffer is not
+zeroed: every row is written, and only the rows below j of h^j, which are
+zero, are set as such.
 
 One loop builds each power row: the products of rows of h^(j-1) and h,
 summed in ascending h index i, the last term that of h_e = 1.  Only that sum
@@ -29,32 +30,20 @@ x^(j+1); leading 1 and constant 0 are implicit).
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 import numpy as np
+
+from .polynomial import _dth_root
 
 
 def series_root_batch(u: np.ndarray, d: int) -> np.ndarray:
     """q = u**(1/d) mod x^e for u of shape (e, N), coefficient-major (row t
     holds the x^t coefficients of the batch), with u[0] = 1.
 
-    Triangular recurrence for powers of a power series:
-    t*q_t = sum_{k=1..t} ((d+1)*k - d*t)/d * u_k * q_{t-k}.
+    `polynomial._dth_root` with a row for each scalar: exact on dtype=object
+    rows, rounded as for float scalars on float64 and complex128 rows.
     """
-    e = u.shape[0]
-    q = np.zeros_like(u)
-    q[0] = 1
-    tmp = np.empty_like(u[0])
-    for t in range(1, e):
-        for k in range(1, t + 1):
-            # exact on object rows (Fractions stay Fractions), else rounded once
-            c = Fraction((d + 1) * k - d * t, d)
-            if c != 0:
-                np.multiply(c if u.dtype == object else float(c), u[k], out=tmp)
-                tmp *= q[t - k]
-                q[t] += tmp
-        q[t] /= t
-    return q
+    q = _dth_root(u, d, len(u), u.dtype == object)
+    return np.array([np.ones_like(u[0]), *q[1:]])
 
 
 def _section(coords: np.ndarray, d: int) -> tuple[np.ndarray, list]:

@@ -227,7 +227,10 @@ def right_component(f: Polynomial, d: int) -> Polynomial:
     depends only on the coefficients f_{n-1}, ..., f_{n-e+1}.  Exact input
     takes the integer root of the scaled F(x) = c^n f(x/c) and returns
     h(x) = c^-e H(cx); float and complex input return the unpolished root
-    candidate that `try_decompose` polishes.
+    candidate that `try_decompose` polishes.  That root is exact when the
+    nonzero coefficients among f_{n-1}, ..., f_{n-e+1} are all ints or
+    Fractions, even if f has floats: f = [0.0, 0.1, 0.2, 0.3, 0.0, 1/3, 1.0]
+    at d = 2 gives h_1 = Fraction(-1, 72).
     """
     if f.is_exact():
         c, _, H = _integer_components(f, d)

@@ -133,10 +133,13 @@ def density_bounds(spec: TubeSpec) -> DensityBounds:
     at d = least prime scaled by delta (1 if n = l^2, else 2), one term per
     component; complex coefficients double both exponents.
 
-    The bracket depends only on eps/B, and it has been checked against the
-    estimators only for B <= 1.5.  Beyond that it can fail: at B = 3, 4 of
-    16 conditional estimates fall below the lower bound, and at B = 10 all
-    16 do (ROADMAP item 8).
+    The bracket depends only on eps/B, and its lower bound is false in two
+    regions (ROADMAP item 8).  At large B: at B = 3, 4 of 16 conditional
+    estimates fall below it, and at B = 10 all 16 do.  At B = 1 once r is
+    small and n large: at eps = 0.01 the conditional estimate lies below it
+    from real (24,4) on (0.849 against 0.923, both divided by r^codim) and
+    from complex (20,5) on.  It is still returned as a number there, since
+    the benchmark's bracket check reads it as one.
     """
     ns = nt_set(spec.n, spec.divisors[0])
     dim = len(ns.nt)  # d + n/d - 2

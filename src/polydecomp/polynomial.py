@@ -295,14 +295,10 @@ def series_dth_root(p: Polynomial, d: int, k: int) -> Polynomial:
     """q with q**d = p mod x^k, q(0) = 1; unique with these properties.
 
     The triangular recurrence t*q_t = sum_j ((d+1)j - d*t)/d * p_j * q_(t-j)
-    of `batched.series_root_batch`; requires p(0) = 1.  Exact input stays
-    exact; otherwise each ((d+1)j - d*t)/d is an int/int division, rounded
-    once, so the bits equal the batched kernel's on one dtype=object column.
-    It stays a scalar loop, `_dth_root`, which the float `try_decompose`
-    runs directly: at the benchmark's float cases (12,3) to (100,10), the
-    kernel took 33-211 us per root on one float64 column against 4-11 us
-    here, while a whole float `try_decompose` takes 72-285 us (2-core x86-64
-    host, numpy 2.4).
+    (Knuth, TAOCP vol. 2, section 4.7); requires p(0) = 1.  Exact input
+    stays exact; otherwise each ((d+1)j - d*t)/d is an int/int division,
+    rounded once.  Its loop, `_dth_root`, is also the float `try_decompose`'s
+    root and, over rows, `batched.series_root_batch`.
     """
     if d <= 0:
         raise ValueError("root index must be positive")
@@ -315,15 +311,16 @@ def series_dth_root(p: Polynomial, d: int, k: int) -> Polynomial:
 
 def _dth_root(u: Sequence, d: int, k: int, exact: bool) -> list:
     """q_0, ..., q_(k-1) of `series_dth_root` from the coefficients u of p,
-    u_0 = 1; each u_j with j >= len(u) counts as 0 and adds no term."""
+    u_0 = 1; each u_j with j >= len(u) counts as 0 and adds no term.  Each
+    u_j may be a numpy row of N scalars: the arithmetic is elementwise."""
     q = [1]
     for t in range(1, k):
-        s = 0
+        s = Fraction(0) if exact else 0
         for j in range(1, min(t + 1, len(u))):
             m = (d + 1) * j - d * t
             if m:
                 s += (Fraction(m, d) if exact else m / d) * u[j] * q[t - j]
-        q.append(Fraction(s, t) if exact else s / t)
+        q.append(s / t)
     return q
 
 

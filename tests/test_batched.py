@@ -75,6 +75,45 @@ class TestSeriesRootBatch:
             for t in range(e):
                 assert abs(float(power[t]) - u[t, col]) <= 1e-13, (d, e, col, t)
 
+    @pytest.mark.parametrize(
+        "field,sha256",
+        [
+            # recorded before the root ran the scalar loop of series_dth_root
+            # over rows; 8,197 columns leave a ragged tail after any SIMD width
+            ("real", "180728dbd81738020a5b68e4a081eaae2eae96d89cd2f07b8016215db65973b3"),
+            ("complex", "0d99e8defda87c472c0be1c732042f1394e07fd196c1e55d644be0acd4c40e99"),
+        ],
+    )
+    def test_root_bytes_are_unchanged(self, field, sha256):
+        digest = hashlib.sha256()
+        for e in (2, 3, 4, 5, 8, 10):
+            for d in (2, 3, 5, 8):
+                rng = np.random.default_rng(100 * e + d)
+                u = rng.uniform(-1, 1, size=(e, 8197))
+                if field == "complex":
+                    u = u + 1j * rng.uniform(-1, 1, size=u.shape)
+                u[0] = 1
+                # zeros of each sign, in the real and imaginary parts apart,
+                # so complex zeros of every sign pair occur
+                for t in range(1, e):
+                    u.real[t, t % 5 :: 5] = 0.0
+                    u.real[t, (t + 2) % 5 :: 5] = -0.0
+                    if field == "complex":
+                        u.imag[t, t % 3 :: 3] = 0.0
+                        u.imag[t, (t + 1) % 3 :: 3] = -0.0
+                q = series_root_batch(u, d)
+                assert q.shape == u.shape and q.dtype == u.dtype
+                digest.update(q.tobytes())
+        assert digest.hexdigest() == sha256
+
+    def test_integer_rows_give_the_float_bytes(self):
+        u = np.random.default_rng(7).integers(-3, 4, size=(6, 101))
+        u[0] = 1
+        for d in (2, 3, 5):
+            q = series_root_batch(u, d)
+            assert q.dtype == np.float64
+            assert q.tobytes() == series_root_batch(u.astype(float), d).tobytes()
+
 
 class TestSectionBatch:
     @pytest.mark.parametrize(
