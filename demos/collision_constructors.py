@@ -9,6 +9,7 @@ from polydecomp import (
     CollisionParams,
     alpha_exp,
     alpha_trig,
+    compose,
     dickson,
     format_polynomial,
     original_shift,
@@ -25,7 +26,7 @@ z = Fraction(1, 2)
 for k in range(7):
     print(f"T_{k}(x, 1/2) = {dickson(k, z)}")
 print("semigroup check: T_2(T_3, z^3) == T_6:",
-      dickson(2, z**3)(dickson(3, z)) == dickson(6, z))
+      compose(dickson(2, z**3), dickson(3, z)) == dickson(6, z))
 
 # The original shift recenters so the result passes through the origin.
 p = dickson(6, z)

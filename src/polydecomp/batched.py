@@ -14,12 +14,12 @@ zeroed: every row is written, and only the rows below j of h^j, which are
 zero, are set as such.
 
 One loop builds each power row: the products of rows of h^(j-1) and h,
-summed in ascending h index i, the last term that of h_e = 1.  Only that sum
-depends on the dtype.  float64 rows take it in one ``np.einsum`` call, with
-h_e as its last term, which sums in that order and so gives the bytes of a
-multiply-then-add loop; numpy does not document einsum's order, so tests pin
-the bytes.  complex128 and dtype=object rows take one multiply and one add
-per term i < e, then add the row of h_e with no product: einsum on
+summed over one range i = lo..hi in ascending h index for every dtype, so
+h_e = 1 is a term like the others, the last.  Only how the sum is taken
+depends on the dtype.  float64 rows take it in one ``np.einsum`` call, which
+sums in that order and so gives the bytes of a multiply-then-add loop; numpy
+does not document einsum's order, so tests pin the bytes.  complex128 and
+dtype=object rows take one multiply and one add per term: einsum on
 complex128 rounds differently in the last bits, and einsum on dtype=object
 needs numpy >= 1.25, above the supported floor.
 
@@ -64,8 +64,8 @@ def _section(coords: np.ndarray, d: int) -> tuple[np.ndarray, list]:
     # gives the right component h, rows 0..e ascending
     q = series_root_batch(np.concatenate([one, coords[d - 1 :][::-1]]), d)
 
-    # row m of h^j is sum_i h_i h^(j-1)[m-i] where h^(j-1) is nonzero (rows
-    # j-1 .. e(j-1)), in ascending i; the last term is h_e = 1
+    # row m of h^j is sum_i h_i h^(j-1)[m-i] over i = lo..hi, where h^(j-1)
+    # is nonzero (rows j-1 .. e(j-1)), in ascending i; h_e = 1 comes last
     h, rest = rest[: e + 1], rest[e + 1 :]
     h[0], h[1:e], h[e] = 0, q[:0:-1], 1
     powers = [None, h]
@@ -74,21 +74,14 @@ def _section(coords: np.ndarray, d: int) -> tuple[np.ndarray, list]:
         p, rest = rest[: e * j + 1], rest[e * j + 1 :]
         p[:j] = 0
         for m in range(j, e * j + 1):
-            lo = max(1, m - e * (j - 1))
-            if coords.dtype == np.float64:  # h_e = 1 as the last einsum term
-                hi = min(e, m - j + 1)
+            lo, hi = max(1, m - e * (j - 1)), min(e, m - j + 1)
+            if coords.dtype == np.float64:
                 np.einsum("ij,ij->j", prev[m - hi : m - lo + 1][::-1], h[lo : hi + 1], out=p[m])
                 continue
-            hi = min(e - 1, m - j + 1)
-            if lo <= hi:
-                np.multiply(prev[m - lo], h[lo], out=p[m])
-                for i in range(lo + 1, hi + 1):
-                    np.multiply(prev[m - i], h[i], out=tmp)
-                    p[m] += tmp
-            else:  # the top row m = e*j has no term i < e
-                p[m] = 0
-            if m - e >= j - 1:
-                p[m] += prev[m - e]
+            np.multiply(prev[m - lo], h[lo], out=p[m])
+            for i in range(lo + 1, hi + 1):
+                np.multiply(prev[m - i], h[i], out=tmp)
+                p[m] += tmp
         powers.append(p)
 
     # g_i = f_(e*i) - sum_{j>i} g_j [h^j]_(e*i), top down, with g_d = 1

@@ -71,9 +71,9 @@ def is_composite(n: int) -> bool:
 
 
 def _require_proper_divisor(n: int, d: int) -> None:
-    if not is_composite(n):
-        raise DivisorError(f"degree {n} is not composite")
-    if not 1 < d < n or n % d != 0:
+    if not 1 < d < n or n % d != 0:  # a proper divisor makes n composite
+        if not is_composite(n):
+            raise DivisorError(f"degree {n} is not composite")
         raise DivisorError(f"{d} is not a proper divisor of {n}")
 
 
@@ -139,7 +139,7 @@ def degree_bound(n: int, d: int) -> int:
 
 def divisor_plan(n: int) -> DivisorPlan:
     if not is_composite(n):
-        raise DivisorError(f"{n} is not a composite integer >= 4")
+        raise DivisorError(f"degree {n} is not composite")
     l = least_prime_factor(n)
     return DivisorPlan(
         n=n,

@@ -371,11 +371,8 @@ def parse_scalar(text: str, field: str = "rational"):
 
 
 def format_scalar(c) -> str:
-    if isinstance(c, complex):
-        sign = "+" if c.imag >= 0 else "-"
-        return f"{c.real!r}{sign}{abs(c.imag)!r}i"
-    if isinstance(c, float):
-        return repr(c)
+    if isinstance(c, complex):  # the sign of a zero part is kept
+        return f"{c.real}{c.imag:+}i"
     try:
         return str(c)
     except ValueError:  # past Python's int-to-str digit limit

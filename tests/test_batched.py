@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from polydecomp.batched import section_batch, series_root_batch
-from polydecomp.decompose import is_composite, nt_set, proper_divisors, section
+from polydecomp.decompose import is_composite, nt_set, proper_divisors, section, section_components
 from polydecomp.polynomial import Polynomial, compose, series_dth_root
 
 
@@ -113,6 +113,36 @@ class TestSeriesRootBatch:
             q = series_root_batch(u, d)
             assert q.dtype == np.float64
             assert q.tobytes() == series_root_batch(u.astype(float), d).tobytes()
+
+
+# zeros of both signs, +-1 and small integers, where rounding cannot hide a
+# change in which terms the power rows sum
+DEGENERATE_SHAPES = [
+    (4, 2), (6, 2), (6, 3), (8, 2), (8, 4), (9, 3), (12, 3),
+    (12, 4), (20, 5), (30, 5), (60, 6), (64, 8), (100, 10),
+]
+DEGENERATE_VALUES = {
+    "zeros": (0.0, -0.0),
+    "ones": (0.0, -0.0, 1.0, -1.0),
+    "small": (-3.0, -2.0, -1.0, -0.0, 0.0, 1.0, 2.0, 3.0),
+}
+# recorded before complex and object power rows took h_e = 1 as a term
+DEGENERATE_FLOAT_SHA256 = "43683f42714774b7b17680711da799f5824a81eaf569dceb107b851597d1facc"
+DEGENERATE_OBJECT_SHA256 = "84c8683c27f76f47cbe1be559863cc8bbe6312c1dfd59bbfbd9df1afde2eeb1b"
+
+
+def degenerate_rows(n, d, field):
+    """Four rows of each kind in DEGENERATE_VALUES at (n, d); a complex
+    entry draws its real and imaginary parts apart."""
+    rng = random.Random(1000 * n + d)
+    k = len(nt_set(n, d).nt)
+
+    def draw(values):
+        if field == "real":
+            return rng.choice(values)
+        return complex(rng.choice(values), rng.choice(values))
+
+    return [np.array([[draw(v) for _ in range(k)] for _ in range(4)]) for v in DEGENERATE_VALUES.values()]
 
 
 class TestSectionBatch:
@@ -242,6 +272,36 @@ class TestSectionBatch:
             coords = coords + 1j * rng.uniform(-1, 1, size=shape)
         got = np.ascontiguousarray(section_batch(coords, n, d))
         assert hashlib.sha256(got.tobytes()).hexdigest() == sha256
+
+    def test_degenerate_float_bytes_are_unchanged(self):
+        digest = hashlib.sha256()
+        for n, d in DEGENERATE_SHAPES:
+            for rows in degenerate_rows(n, d, "real"):
+                digest.update(np.ascontiguousarray(section_batch(rows, n, d)).tobytes())
+        assert digest.hexdigest() == DEGENERATE_FLOAT_SHA256
+
+    def test_degenerate_object_reprs_are_unchanged(self):
+        # ints, and Fractions with the small values over 3, on the exact path
+        digest = hashlib.sha256()
+        for n, d in DEGENERATE_SHAPES:
+            for rows in degenerate_rows(n, d, "real"):
+                for row in rows:
+                    for scalars in ([int(v) for v in row], [Fraction(int(v), 3) for v in row]):
+                        b = dict(zip(nt_set(n, d).nt, scalars))
+                        digest.update(repr(section_components(b, n, d)).encode())
+        assert digest.hexdigest() == DEGENERATE_OBJECT_SHA256
+
+    def test_degenerate_complex_rows_equal_the_exact_section(self, gaussq):
+        # the top e - 1 columns are signed zeros, so h is x^e up to the signs
+        # of its zeros and every product in the kernel is exact: the float
+        # section equals the exact one, whatever sign a zero entry takes
+        for n, d in DEGENERATE_SHAPES:
+            for rows in degenerate_rows(n, d, "complex"):
+                rows[:, d - 1 :] *= 0
+                got = section_batch(rows, n, d)
+                for r in range(len(rows)):
+                    want = exact_section_row(rows[r], n, d, gaussq)
+                    assert np.array_equal(got[r], want), (n, d, r)
 
     @pytest.mark.parametrize("n,d", [(10, 3), (6, 1), (6, 6)])
     def test_improper_divisor_rejected(self, n, d):

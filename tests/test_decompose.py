@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import mpmath
+import numpy as np
 import pytest
 
 from polydecomp.decompose import (
@@ -22,6 +23,8 @@ from polydecomp.decompose import (
     section_components,
     try_decompose,
 )
+from polydecomp.batched import section_batch
+from polydecomp.density import TubeSpec, cheng_bound
 from polydecomp.polynomial import (
     Polynomial,
     compose,
@@ -107,6 +110,62 @@ class TestDivisorPlan:
             divisor_plan(7)
         with pytest.raises(DivisorError):
             divisor_plan(3)
+
+
+def _degree_f(n, c=1):
+    return x_power(n) + c * x_power(1) if n > 1 else x_power(1)
+
+
+_DEGREE_CALLS = {
+    "nt_set": lambda n, d: nt_set(n, d),
+    "dimension": lambda n, d: dimension(n, d),
+    "try_decompose exact": lambda n, d: try_decompose(_degree_f(n), d),
+    "try_decompose float": lambda n, d: try_decompose(_degree_f(n, 0.5), d),
+    "right_component": lambda n, d: right_component(_degree_f(n), d),
+    "divisor_plan": lambda n, d: divisor_plan(n),
+    "TubeSpec": lambda n, d: TubeSpec(n, d if n == 12 else None, 0.1, 1.0),
+    "cheng_bound": lambda n, d: cheng_bound(n, 0.1, 1.0),
+    "section_batch": lambda n, d: section_batch(np.zeros((1, d + n // d - 2)), n, d),
+}
+
+
+@pytest.mark.parametrize(
+    "call,n,d,error,message",
+    [
+        ("nt_set", 7, 2, DivisorError, "degree 7 is not composite"),
+        ("nt_set", 1, 2, DivisorError, "degree 1 is not composite"),
+        ("nt_set", 12, 5, DivisorError, "5 is not a proper divisor of 12"),
+        ("dimension", 7, 2, DivisorError, "degree 7 is not composite"),
+        ("dimension", 1, 2, DivisorError, "degree 1 is not composite"),
+        ("dimension", 12, 5, DivisorError, "5 is not a proper divisor of 12"),
+        ("try_decompose exact", 7, 2, DivisorError, "degree 7 is not composite"),
+        ("try_decompose exact", 1, 2, DivisorError, "degree 1 is not composite"),
+        ("try_decompose exact", 12, 5, DivisorError, "5 is not a proper divisor of 12"),
+        ("try_decompose float", 7, 2, DivisorError, "degree 7 is not composite"),
+        ("try_decompose float", 1, 2, DivisorError, "degree 1 is not composite"),
+        ("try_decompose float", 12, 5, DivisorError, "5 is not a proper divisor of 12"),
+        ("right_component", 7, 2, DivisorError, "degree 7 is not composite"),
+        ("right_component", 1, 2, DivisorError, "degree 1 is not composite"),
+        ("right_component", 12, 5, DivisorError, "5 is not a proper divisor of 12"),
+        # divisor_plan, and TubeSpec's union through it, word a prime or
+        # small degree as the entry points above do
+        ("divisor_plan", 7, None, DivisorError, "degree 7 is not composite"),
+        ("divisor_plan", 1, None, DivisorError, "degree 1 is not composite"),
+        ("TubeSpec", 7, None, DivisorError, "degree 7 is not composite"),
+        ("TubeSpec", 1, None, DivisorError, "degree 1 is not composite"),
+        ("TubeSpec", 12, 5, DivisorError, "5 is not a proper divisor of 12"),
+        ("cheng_bound", 7, None, ValueError, "degree 7 is not composite"),
+        ("cheng_bound", 1, None, ValueError, "degree 1 is not composite"),
+        ("section_batch", 7, 2, ValueError, "2 is not a proper divisor of 7"),
+        ("section_batch", 1, 2, ValueError, "2 is not a proper divisor of 1"),
+        ("section_batch", 12, 5, ValueError, "5 is not a proper divisor of 12"),
+    ],
+)
+def test_degree_errors_name_the_rule(call, n, d, error, message):
+    # prime n, n < 4 and a non-divisor d, through every public entry point
+    with pytest.raises(ValueError) as info:
+        _DEGREE_CALLS[call](n, d)
+    assert type(info.value) is error and str(info.value) == message
 
 
 class TestDimension:

@@ -480,6 +480,23 @@ class TestTextFormat:
         z = 1.25 - 2.5j
         assert parse_scalar(format_scalar(z), "complex64") == z
 
+    @pytest.mark.parametrize("field", ["real64", "complex64"])
+    def test_signed_zeros_roundtrip(self, field):
+        # the text keeps every bit: zeros of each sign in either part
+        if field == "real64":
+            cast, values = float, (0.0, -0.0, 1.5)
+        else:
+            cast = complex
+            values = [complex(a, b) for a in (0.0, -0.0, 1.5) for b in (0.0, -0.0, -2.5)]
+        for v in values:
+            p = Polynomial([0, v, -v, 1])
+            back = parse_polynomial(format_polynomial(p), field)
+            assert np.array(back.coeffs, cast).tobytes() == np.array(p.coeffs, cast).tobytes(), v
+
+    def test_numpy_scalars_format_as_python_scalars(self):
+        assert format_scalar(np.complex128(1 - 2j)) == format_scalar(1 - 2j) == "1.0-2.0i"
+        assert format_scalar(np.float64(0.1)) == format_scalar(0.1) == "0.1"
+
     def test_malformed(self):
         with pytest.raises(ValueError):
             parse_polynomial("1,,2")
