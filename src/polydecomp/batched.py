@@ -102,10 +102,11 @@ def section_batch(nt_coords: np.ndarray, n: int, d: int) -> np.ndarray:
 
     ``nt_coords`` has one column per index of nt_set(n, d).nt in ascending
     index order, i.e. [f_e, f_2e, ..., f_{(d-1)e}, f_{n-e+1}, ..., f_{n-1}];
-    d must be a proper divisor of n.
+    d must be a proper divisor of n, else `decompose.DivisorError`.
     """
     if not (1 < d < n and n % d == 0):
-        raise ValueError(f"{d} is not a proper divisor of {n}")
+        from .decompose import _require_proper_divisor  # decompose imports this module
+        _require_proper_divisor(n, d)
     e = n // d
     nt_coords = np.asarray(nt_coords)
     if nt_coords.ndim != 2 or nt_coords.shape[1] != d + e - 2:

@@ -6,9 +6,13 @@ over the integers: with c = c0 * d^2, where every c0^(n-i) f_i is an integer
 and c0 is the least such scale unless a denominator has a prime factor
 above 61 (see `_integer_form`), F(x) = c^n f(x/c) is a monic integer
 polynomial, and f = g(h) exactly when F = G(H) with H(x) = c^e h(x/c) and
-G(y) = c^n g(y/c^e).  H comes from an integer d-th root whose divisions are
-exact, and G from the generalized Taylor expansion of F around the monic H,
-which stays in the integers and stops at the first non-constant coefficient.
+G(y) = c^n g(y/c^e).  H comes from an integer d-th root with exact
+divisions; run on to order 2e-1, where a composition's root is 0 at the
+orders e+1 .. 2e-1 (Kozen & Landau, J. Symbolic Comput. 7, 1989), it
+proves most misses before any division.  Only a candidate that passes
+builds the d^2-scaled F, and G comes from the generalized Taylor expansion
+of F around the monic H, which stays in the integers and stops at the
+first non-constant coefficient.
 Float and complex input are decided by a residual instead (Corless,
 Giesbrecht, Jeffrey & Watt, "Approximate polynomial decomposition", ISSAC
 1999): linearized least-squares steps polish the candidate pair, and f
@@ -29,7 +33,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping
+from itertools import islice
+from typing import Iterator, Mapping
 
 import numpy as np
 
@@ -154,9 +159,9 @@ def divisor_plan(n: int) -> DivisorPlan:
 _SMALL_PRIMES = tuple([p for p in range(2, 64) if least_prime_factor(p) == p])
 
 
-def _integer_form(f: Polynomial, s: int = 1) -> tuple[int, list[int]]:
-    """(c, F) for exact monic original f: c = c0 * s and F_i = c^(n-i) f_i,
-    an integer, so that F(x) = c^n f(x/c).
+def _integer_form(f: Polynomial) -> tuple[int, list[int]]:
+    """(c0, F0) for exact monic original f: F0_i = c0^(n-i) f_i, an integer,
+    so that F0(x) = c0^n f(x/c0).  An all-int f is its own form, c0 = 1.
 
     c0 is the product of p^max_i ceil(v_p(den f_i) / (n-i)) over the primes
     p < 64, times the cofactor of the lcm of the denominators that those
@@ -164,6 +169,8 @@ def _integer_form(f: Polynomial, s: int = 1) -> tuple[int, list[int]]:
     clears every denominator when no denominator has a prime factor >= 64.
     """
     require_monic_original(f)
+    if all(type(a) is int for a in f.coeffs):
+        return 1, list(f.coeffs)
     n = f.degree
     fs = [(a.numerator, a.denominator) for a in f.coeffs]
     # a list, not a generator: see polynomial.compose
@@ -179,34 +186,48 @@ def _integer_form(f: Polynomial, s: int = 1) -> tuple[int, list[int]]:
             need = [-(-v[math.gcd(b, pk[-1])] // (n - i)) for i, (_, b) in enumerate(fs[:n])]
             c0 *= p ** max(need)
     c0 *= rest
-    c = c0 * s
     powers = [1]
     for _ in range(n):
-        powers.append(powers[-1] * c)
-    return c, [a * (powers[n - i] // b) for i, (a, b) in enumerate(fs)]
+        powers.append(powers[-1] * c0)
+    return c0, [a * (powers[n - i] // b) for i, (a, b) in enumerate(fs)]
 
 
-def _integer_components(f: Polynomial, d: int) -> tuple[int, Polynomial, Polynomial]:
-    """(c, F, H) for exact monic original f: (c, F) = `_integer_form(f, d^2)`
-    and F's candidate right component H.
-
-    H is the reverse of the d-th root q of U = reverse(F), from the recurrence
-    d*t*q_t = sum_k ((d+1)k - d*t) U_k q_(t-k).  The division by d*t is
-    exact because c0 alone clears the denominators, so U_k keeps the factor
-    d^(2k) of c^k whole, and d^(2m) * binom(1/d, m) is an integer.
-    """
-    c, F = _integer_form(f, d * d)
-    n = f.degree
-    _require_proper_divisor(n, d)
-    u = F[::-1]
+def _integer_root(u: list[int], d: int) -> Iterator[int]:
+    """Yield q_1, ..., q_(k-1) of the d-th root of u_0 + ... + u_(k-1) x^(k-1),
+    u_0 = 1, k = len(u), from d*t*q_t = sum_j ((d+1)j - d*t) u_j q_(t-j)."""
     q = [1]
-    for t in range(1, n // d):
-        s = sum(((d + 1) * k - d * t) * u[k] * q[t - k] for k in range(1, t + 1))
+    for t in range(1, len(u)):
+        s = sum(((d + 1) * j - d * t) * u[j] * q[t - j] for j in range(1, t + 1))
         qt, r = divmod(s, d * t)
         if r:
             raise ArithmeticError(f"integer d-th root left remainder {r} at t = {t}")
         q.append(qt)
-    return c, Polynomial(F), Polynomial([0, *q[:0:-1], 1])
+        yield qt
+
+
+def _integer_components(f: Polynomial, d: int, prove: bool = False) -> tuple | None:
+    """(c, F, H) for exact monic original f: c = c0 * d^2, F_i = c^(n-i) f_i
+    for the (c0, F0) of `_integer_form`, and H the reverse of the d-th root q
+    of U = reverse(F) mod x^e, by `_integer_root`.  Its divisions are exact
+    at every order t: U_k = d^(2k) F0_(n-k) keeps the factor d^(2k) of c^k
+    whole, and d^(2m) * binom(1/d, m) is an integer for m <= t.
+
+    If F = G(H), then U = Q^d + G_(d-1) x^e Q^(d-1) + O(x^(2e)) for Q the
+    reverse of H, of degree < e, so q = Q + (G_(d-1)/d) x^e + O(x^(2e)) is 0
+    at the orders e+1 .. 2e-1 (f's top complement block).  With prove the
+    root runs on through that block and gives None at its first nonzero
+    coefficient, before F is built.
+    """
+    c0, F0 = _integer_form(f)
+    n = f.degree
+    _require_proper_divisor(n, d)
+    e, s = n // d, d * d
+    root = _integer_root([s**k * F0[n - k] for k in range(2 * e if prove else e)], d)
+    q = list(islice(root, e))  # q_1, ..., q_e: q_e only with prove
+    if any(root):
+        return None
+    F = [s ** (n - i) * a for i, a in enumerate(F0)]
+    return c0 * s, Polynomial(F), Polynomial([0, *q[e - 2 :: -1], 1])
 
 
 def _unscale(P: Polynomial, c: int) -> Polynomial:
@@ -271,8 +292,10 @@ def _lstsq(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def try_decompose(f: Polynomial, d: int) -> Decomposition | None:
     """Decompose f = g(h) at divisor d, or None if no such decomposition.
 
-    Exact input needs every Taylor coefficient of F around H constant (see
-    the module docstring); g and h are scaled back only on accept.  Float or
+    An exact miss is mostly rejected by the continued integer root, before
+    F is built or divided (`_integer_components`); a candidate that passes
+    needs every Taylor coefficient of F around H constant (see the module
+    docstring), and g and h are scaled back only on accept.  Float or
     complex input raises ValueError unless every coefficient is finite.  It
     is decided on numpy arrays: f converted once, one matrix of the powers
     h^0, ..., h^d and one Jacobian, updated in place.  h starts at the root
@@ -287,7 +310,9 @@ def try_decompose(f: Polynomial, d: int) -> Decomposition | None:
     overflow and a non-finite rho reject.
     """
     if f.is_exact():
-        c, f, h = _integer_components(f, d)
+        if (found := _integer_components(f, d, prove=True)) is None:
+            return None
+        c, f, h = found
         g = []
         for gi in _taylor_terms(f, h, d):
             if gi.degree > 0:
@@ -360,7 +385,8 @@ def is_decomposable(f: Polynomial) -> list[tuple[int, Decomposition]]:
 
     Empty for prime or tiny degree (nothing decomposes there).  Exact input
     is brought to the monic integer c0^n f(x/c0) of `_integer_form` once;
-    `try_decompose` decides that at each divisor, and a witness (G, H) is
+    `try_decompose` decides that at each divisor (where `_integer_form`
+    returns the all-int input as it is), and a witness (G, H) is
     scaled back to g(y) = c0^-n G(c0^e y), h(x) = c0^-e H(c0 x).  Float
     input follows the rules of `try_decompose`, whose ValueError propagates.
     """

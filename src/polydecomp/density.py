@@ -44,7 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .batched import section_batch
-from .decompose import divisor_plan, is_composite, nt_set, section
+from .decompose import DivisorError, divisor_plan, is_composite, nt_set, section
 
 _BLOCK_SIZE = 1 << 16
 # rows per section call; a power of two >= 64, so that tiles start on numpy's
@@ -153,7 +153,7 @@ def density_bounds(spec: TubeSpec) -> DensityBounds:
 def cheng_bound(n: int, epsilon: float, B: float) -> float:
     """The hypersurface comparison bound (n^2 - 2n) (eps/B)^2."""
     if not is_composite(n):
-        raise ValueError(f"degree {n} is not composite")
+        raise DivisorError(f"degree {n} is not composite")
     if not (0 <= epsilon < B):
         raise ValueError("need 0 <= epsilon < B")
     return (n * n - 2 * n) * (epsilon / B) ** 2

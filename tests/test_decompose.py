@@ -154,11 +154,11 @@ _DEGREE_CALLS = {
         ("TubeSpec", 7, None, DivisorError, "degree 7 is not composite"),
         ("TubeSpec", 1, None, DivisorError, "degree 1 is not composite"),
         ("TubeSpec", 12, 5, DivisorError, "5 is not a proper divisor of 12"),
-        ("cheng_bound", 7, None, ValueError, "degree 7 is not composite"),
-        ("cheng_bound", 1, None, ValueError, "degree 1 is not composite"),
-        ("section_batch", 7, 2, ValueError, "2 is not a proper divisor of 7"),
-        ("section_batch", 1, 2, ValueError, "2 is not a proper divisor of 1"),
-        ("section_batch", 12, 5, ValueError, "5 is not a proper divisor of 12"),
+        ("cheng_bound", 7, None, DivisorError, "degree 7 is not composite"),
+        ("cheng_bound", 1, None, DivisorError, "degree 1 is not composite"),
+        ("section_batch", 7, 2, DivisorError, "degree 7 is not composite"),
+        ("section_batch", 1, 2, DivisorError, "degree 1 is not composite"),
+        ("section_batch", 12, 5, DivisorError, "5 is not a proper divisor of 12"),
     ],
 )
 def test_degree_errors_name_the_rule(call, n, d, error, message):
@@ -360,6 +360,21 @@ class TestEarlyExit:
             ):
                 assert repr(try_decompose(f, d)) == repr(reference_try_decompose(f, d))
 
+    @pytest.mark.parametrize("n", [12, 24, 30])
+    def test_exact_near_misses_match_full_expansion(self, n):
+        # a composition at d tried at every divisor, those dividing d among
+        # them, and moved by 1/2 at each index: a move inside the top
+        # complement block, at a multiple of e or far below must all be
+        # decided as the whole expansion decides them
+        rng = random.Random(500 + n)
+        for d in proper_divisors(n):
+            f = compose(rand_monic_original(rng, d), rand_monic_original(rng, n // d))
+            for k in proper_divisors(n):
+                assert repr(try_decompose(f, k)) == repr(reference_try_decompose(f, k))
+            for i in range(1, n):
+                moved = f + Polynomial([0] * i + [Fraction(1, 2)])
+                assert repr(try_decompose(moved, d)) == repr(reference_try_decompose(moved, d))
+
     @pytest.mark.parametrize("n,d", [(12, 3), (30, 5), (60, 6), (64, 8)])
     def test_float_matches_full_expansion(self, n, d):
         # dyadic (g, h) composed over the rationals, and a copy moved off the
@@ -387,7 +402,10 @@ class TestEarlyExit:
     @pytest.mark.parametrize("field", [Fraction, float])
     def test_exit_at_first_non_constant_coefficient(self, monkeypatch, n, d, field):
         # a*x*h^j has degree at most (d-2)e + 1, so it leaves the top e - 1
-        # coefficients (and so h) unchanged, and adds a*x to G_j alone.
+        # coefficients (and so h) unchanged, and adds a*x to G_j alone.  At
+        # j = d-2 it reaches x^((d-2)e+1), the lowest index of the top
+        # complement block, where the continued integer root rejects it
+        # before any division; below that the expansion runs to G_j.
         rng = random.Random(n * d)
         e = n // d
         g, h = rand_monic_original(rng, d), rand_monic_original(rng, e)
@@ -408,7 +426,7 @@ class TestEarlyExit:
             divisions.clear()
             assert try_decompose(f, d) is None
             monkeypatch.undo()
-            assert len(divisions) == (j + 1 if field is Fraction else 0)
+            assert len(divisions) == (0 if field is float or j == d - 2 else j + 1)
 
 
 class TestIsDecomposable:

@@ -1,12 +1,13 @@
 """Exact decomposition over the integers, checked against sympy and by call counts."""
 
+import hashlib
 import math
 import random
 from fractions import Fraction
 
 import pytest
 
-from polydecomp import decompose, polynomial
+from polydecomp import collisions, decompose, polynomial
 from polydecomp.decompose import (
     Decomposition,
     is_decomposable,
@@ -171,6 +172,42 @@ class TestScale:
             assert poly(sympy, dec.g, x).compose(poly(sympy, dec.h, x)) == f_sym
 
 
+@pytest.mark.parametrize("n", [4, 6, 8, 9, 12, 16, 18, 24, 30, 36, 48, 60])
+def test_continued_root_is_the_root_of_the_scaled_reverse(n):
+    # the first 2e coefficients q of the integer root of U = reverse(F)
+    # satisfy q^d = U mod x^(2e), with every division exact, for denominators
+    # that share primes with d, powers of 97 and 2^61 - 1; a composition's
+    # root is 0 at the orders e+1 .. 2e-1
+    rng = random.Random(8000 + n)
+    for d in proper_divisors(n):
+        e = n // d
+        dens = [1, d, d * d, 2 * d, 97, 97**2, 97**4, M61]
+        g, h = rand_with_denominators(rng, d, dens), rand_with_denominators(rng, e, dens)
+        for f in (rand_with_denominators(rng, n, dens), compose(g, h)):
+            _, F, _ = decompose._integer_components(f, d)
+            u = list(F.coeffs[::-1][: 2 * e])
+            q = [1, *decompose._integer_root(u, d)]
+            assert len(q) == 2 * e and all(type(a) is int for a in q)
+            qd = Polynomial(q) ** d
+            assert [qd[k] for k in range(2 * e)] == u
+        assert not any(q[e + 1 :])
+
+
+def test_is_decomposable_scales_once_and_tries_every_divisor(monkeypatch):
+    # is_decomposable clears the denominators once; at each divisor
+    # try_decompose gets the all-int F0, which `_integer_form` returns as it
+    # is, without an lcm or a prime scan
+    rng = random.Random(60)
+    g, h = rand_monic_original(rng, 6), rand_monic_original(rng, 10)
+    f = compose(g, h)
+    lcms, tries = [], []
+    real_lcm, real_try = math.lcm, decompose.try_decompose
+    monkeypatch.setattr(decompose.math, "lcm", lambda *b: lcms.append(b) or real_lcm(*b))
+    monkeypatch.setattr(decompose, "try_decompose", lambda f, d: tries.append(d) or real_try(f, d))
+    assert (6, Decomposition(g=g, h=h)) in is_decomposable(f)
+    assert len(lcms) == 1 and tries == list(proper_divisors(60))
+
+
 def test_exact_input_never_runs_the_float_polish(monkeypatch):
     calls = []
 
@@ -209,3 +246,77 @@ class TestFloatWitness:
             assert d in dict(found)
             for _, dec in found:
                 assert not any(isinstance(c, Fraction) for c in (*dec.g, *dec.h))
+
+
+PIN_DEGREES = (4, 6, 8, 9, 12, 16, 18, 24, 30, 36, 48, 60)
+
+
+def pinned_exact_inputs():
+    """Seeded exact f at each pinned degree: six random originals, then g(h)
+    at every proper divisor, each followed by four copies moved by 1/7 at
+    x^1, x^(n-e-1) (the top complement block), x^(n-e) (a multiple of e, so
+    still a composition) and x^(n/2)."""
+    for n in PIN_DEGREES:
+        rng = random.Random(7000 + n)
+        for _ in range(6):
+            yield rand_monic_original(rng, n)
+        for d in proper_divisors(n):
+            e = n // d
+            f = compose(rand_monic_original(rng, d), rand_monic_original(rng, e))
+            yield f
+            for i in (1, n - e - 1, n - e, n // 2):
+                yield f + Polynomial([0] * i + [Fraction(1, 7)])
+
+
+def rational_bench_inputs(seed):
+    """The rational inputs of the `exact` benchmark pool at this seed, drawn
+    as `perfbench/workloads.py` `ExactRational` draws them: one shuffled cycle
+    of compose(g, h) at every proper divisor of 12, 24, 30, 36, 48 and 60 and
+    both collision families at (6,2), (12,3), (20,4) and (42,6)."""
+    rng = random.Random(seed)
+
+    def coeff():
+        return Fraction(rng.randint(-9, 9), rng.randint(1, 5))
+
+    cases = [("compose", n, d) for n in (12, 24, 30, 36, 48, 60) for d in proper_divisors(n)]
+    cases += [(v, n, d) for n, d in ((6, 2), (12, 3), (20, 4), (42, 6)) for v in ("exp", "trig")]
+    rng.shuffle(cases)
+    x = Polynomial([0, 1])
+    for kind, n, d in cases:
+        e = n // d
+        if kind == "compose":
+            g = Polynomial([0, *(coeff() for _ in range(d - 1)), 1])
+            h = Polynomial([0, *(coeff() for _ in range(e - 1)), 1])
+            yield compose(g, h)
+        elif kind == "exp":
+            w = Polynomial([*(coeff() for _ in range(e // d)), 1])
+            params = collisions.CollisionParams(n=n, d=d, u=x, v=x, a=coeff(), w=w)
+            yield collisions.alpha_exp(params)
+        else:
+            params = collisions.CollisionParams(n=n, d=d, u=x, v=x, a=coeff(), z=coeff())
+            yield collisions.alpha_trig(params)
+
+
+# sha256 of the reprs of is_decomposable(f), then try_decompose(f, d) and
+# right_component(f, d) at each proper divisor, over `pinned_exact_inputs`
+EXACT_DECISION_SHA256 = "28e8935a39188b4da7a93e238544a952840ad65420b506999a9979cf28448c15"
+# sha256 of the reprs of is_decomposable(f) over `rational_bench_inputs(81..83)`
+BENCH_DECISION_SHA256 = "bb9074b4391cb79f78740d6e86a9b4fc3addefa49c3d7ac5e2baaa3b0bbbd4ed"
+
+
+def _digest(reprs):
+    return hashlib.sha256("\n".join(reprs).encode()).hexdigest()
+
+
+def test_exact_decisions_are_pinned():
+    reprs = []
+    for f in pinned_exact_inputs():
+        reprs.append(repr(is_decomposable(f)))
+        for d in proper_divisors(f.degree):
+            reprs += [repr(try_decompose(f, d)), repr(right_component(f, d))]
+    assert _digest(reprs) == EXACT_DECISION_SHA256
+
+
+def test_bench_decisions_are_pinned():
+    reprs = [repr(is_decomposable(f)) for seed in (81, 82, 83) for f in rational_bench_inputs(seed)]
+    assert _digest(reprs) == BENCH_DECISION_SHA256
