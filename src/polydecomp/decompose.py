@@ -9,10 +9,11 @@ polynomial, and f = g(h) exactly when F = G(H) with H(x) = c^e h(x/c) and
 G(y) = c^n g(y/c^e).  H comes from an integer d-th root with exact
 divisions; run on to order 2e-1, where a composition's root is 0 at the
 orders e+1 .. 2e-1 (Kozen & Landau, J. Symbolic Comput. 7, 1989), it
-proves most misses before any division.  Only a candidate that passes
-builds the d^2-scaled F, and G comes from the generalized Taylor expansion
-of F around the monic H, which stays in the integers and stops at the
-first non-constant coefficient.
+proves most misses.  Only a candidate that passes builds the d^2-scaled F
+and H^2, ..., H^d.  As H is monic, F = G(H) is triangular in G: G_i is the
+integer F_(ie) less the x^(ie) coefficient of sum_(j>i) G_j H^j, and the
+candidate is accepted when the whole sum equals F, with no division
+(`polynomial.taylor_coefficients` gives the same G by division).
 Float and complex input are decided by a residual instead (Corless,
 Giesbrecht, Jeffrey & Watt, "Approximate polynomial decomposition", ISSAC
 1999): linearized least-squares steps polish the candidate pair, and f
@@ -33,7 +34,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
+from itertools import accumulate, islice, repeat
+from operator import mul
 from typing import Iterator, Mapping
 
 import numpy as np
@@ -43,7 +45,6 @@ from .polynomial import (
     EXACT_TYPES,
     Polynomial,
     _dth_root,
-    _taylor_terms,
     compose,
     require_monic_original,
 )
@@ -159,6 +160,15 @@ def divisor_plan(n: int) -> DivisorPlan:
 _SMALL_PRIMES = tuple([p for p in range(2, 64) if least_prime_factor(p) == p])
 
 
+def _powers(c: int, k: int) -> list[int]:
+    """[1, c, ..., c^k], by a running product."""
+    return list(accumulate(repeat(c, k), mul, initial=1))
+
+
+# (f.coeffs, (c0, F0)) of the last `_integer_form` call, F0 a tuple
+_form_memo: tuple = (None, None)
+
+
 def _integer_form(f: Polynomial) -> tuple[int, list[int]]:
     """(c0, F0) for exact monic original f: F0_i = c0^(n-i) f_i, an integer,
     so that F0(x) = c0^n f(x/c0).  An all-int f is its own form, c0 = 1.
@@ -167,10 +177,24 @@ def _integer_form(f: Polynomial) -> tuple[int, list[int]]:
     p < 64, times the cofactor of the lcm of the denominators that those
     primes leave.  So c0 divides the lcm, and it is the least scale that
     clears every denominator when no denominator has a prime factor >= 64.
+    The last form is kept, so that trying each divisor of one input
+    computes it once.  It is keyed by the identity of the immutable tuple
+    f.coeffs, which the entry holds, so no other tuple can take that
+    identity while it lives; and it is one tuple, so that another thread
+    always reads a matching pair.
     """
+    global _form_memo
+    if (memo := _form_memo)[0] is not f.coeffs:
+        _form_memo = memo = f.coeffs, _clear_denominators(f)
+    c0, F0 = memo[1]
+    return c0, list(F0)
+
+
+def _clear_denominators(f: Polynomial) -> tuple[int, tuple[int, ...]]:
+    """The (c0, F0) of `_integer_form`, with F0 a tuple, computed afresh."""
     require_monic_original(f)
     if all(type(a) is int for a in f.coeffs):
-        return 1, list(f.coeffs)
+        return 1, f.coeffs
     n = f.degree
     fs = [(a.numerator, a.denominator) for a in f.coeffs]
     # a list, not a generator: see polynomial.compose
@@ -186,10 +210,8 @@ def _integer_form(f: Polynomial) -> tuple[int, list[int]]:
             need = [-(-v[math.gcd(b, pk[-1])] // (n - i)) for i, (_, b) in enumerate(fs[:n])]
             c0 *= p ** max(need)
     c0 *= rest
-    powers = [1]
-    for _ in range(n):
-        powers.append(powers[-1] * c0)
-    return c0, [a * (powers[n - i] // b) for i, (a, b) in enumerate(fs)]
+    powers = _powers(c0, n)
+    return c0, tuple([a * (powers[n - i] // b) for i, (a, b) in enumerate(fs)])
 
 
 def _integer_root(u: list[int], d: int) -> Iterator[int]:
@@ -222,19 +244,20 @@ def _integer_components(f: Polynomial, d: int, prove: bool = False) -> tuple | N
     n = f.degree
     _require_proper_divisor(n, d)
     e, s = n // d, d * d
-    root = _integer_root([s**k * F0[n - k] for k in range(2 * e if prove else e)], d)
+    sk = _powers(s, 2 * e - 1 if prove else e - 1)
+    root = _integer_root([a * b for a, b in zip(sk, F0[::-1])], d)
     q = list(islice(root, e))  # q_1, ..., q_e: q_e only with prove
     if any(root):
         return None
-    F = [s ** (n - i) * a for i, a in enumerate(F0)]
+    F = [a * b for a, b in zip(F0, _powers(s, n)[::-1])]
     return c0 * s, Polynomial(F), Polynomial([0, *q[e - 2 :: -1], 1])
 
 
 def _unscale(P: Polynomial, c: int) -> Polynomial:
     """The monic original p with P(x) = c^k p(x/c), k = deg P.
 
-    P's coefficients are integers or Fractions.  A zero coefficient stays
-    int 0, as it reads off a zero Taylor remainder.
+    P's coefficients are integers.  A zero coefficient stays int 0, so a
+    witness has it as int 0 and every other coefficient as a Fraction.
     """
     k = P.degree
     mid = (Fraction(a, c ** (k - i)) if a else 0 for i, a in enumerate(P.coeffs[1:k], 1))
@@ -293,10 +316,11 @@ def try_decompose(f: Polynomial, d: int) -> Decomposition | None:
     """Decompose f = g(h) at divisor d, or None if no such decomposition.
 
     An exact miss is mostly rejected by the continued integer root, before
-    F is built or divided (`_integer_components`); a candidate that passes
-    needs every Taylor coefficient of F around H constant (see the module
-    docstring), and g and h are scaled back only on accept.  Float or
-    complex input raises ValueError unless every coefficient is finite.  It
+    F is built (`_integer_components`).  A candidate that passes solves
+    F = G(H) for the integers G_d, ..., G_1 top down, with no division, and
+    is accepted when sum_i G_i H^i equals F (see the module docstring); g and
+    h are scaled back once, only on accept.  Float or complex input raises
+    ValueError unless every coefficient is finite.  It
     is decided on numpy arrays: f converted once, one matrix of the powers
     h^0, ..., h^d and one Jacobian, updated in place.  h starts at the root
     candidate of `right_component` and g at the least-squares fit of
@@ -312,13 +336,19 @@ def try_decompose(f: Polynomial, d: int) -> Decomposition | None:
     if f.is_exact():
         if (found := _integer_components(f, d, prove=True)) is None:
             return None
-        c, f, h = found
-        g = []
-        for gi in _taylor_terms(f, h, d):
-            if gi.degree > 0:
-                return None
-            g.append(gi[0])
-        return Decomposition(g=_unscale(Polynomial(g), c ** h.degree), h=_unscale(h, c))
+        c, F, H = found
+        e = H.degree
+        hv = np.array(H.coeffs, object)
+        powers = list(accumulate(repeat(hv, d - 1), np.convolve, initial=hv))  # H^1, ..., H^d
+        acc = np.zeros(F.degree + 1, object)  # sum_(j>i) G_j H^j
+        g = [0] * (d + 1)
+        for i in range(d, 0, -1):
+            if gi := F[i * e] - acc[i * e]:
+                acc[: i * e + 1] += gi * powers[i - 1]
+                g[i] = gi
+        if acc.tolist() != list(F.coeffs):
+            return None
+        return Decomposition(g=_unscale(Polynomial(g), c**e), h=_unscale(H, c))
     h0 = _root_candidate(f, d)
     n, e = f.degree, f.degree // d
     fv = np.array(f.coeffs)
@@ -383,27 +413,19 @@ def try_decompose(f: Polynomial, d: int) -> Decomposition | None:
 def is_decomposable(f: Polynomial) -> list[tuple[int, Decomposition]]:
     """All proper divisors d at which f decomposes, ascending, with witnesses.
 
-    Empty for prime or tiny degree (nothing decomposes there).  Exact input
-    is brought to the monic integer c0^n f(x/c0) of `_integer_form` once;
-    `try_decompose` decides that at each divisor (where `_integer_form`
-    returns the all-int input as it is), and a witness (G, H) is
-    scaled back to g(y) = c0^-n G(c0^e y), h(x) = c0^-e H(c0 x).  Float
+    Empty for prime or tiny degree (nothing decomposes there).  Each divisor
+    is tried by `try_decompose` on f itself; for exact input the integer form
+    c0^n f(x/c0) is computed at the first divisor and kept for the others
+    (see `_integer_form`), and each witness is scaled back once.  Float
     input follows the rules of `try_decompose`, whose ValueError propagates.
     """
     require_monic_original(f)
     n = f.degree
     if not is_composite(n):
         return []
-    c0 = 1
-    if f.is_exact():
-        c0, F0 = _integer_form(f)
-        f = Polynomial(F0)
     found = []
     for d in proper_divisors(n):
-        dec = try_decompose(f, d)
-        if dec is not None:
-            if c0 != 1:
-                dec = Decomposition(g=_unscale(dec.g, c0 ** (n // d)), h=_unscale(dec.h, c0))
+        if (dec := try_decompose(f, d)) is not None:
             found.append((d, dec))
     return found
 

@@ -53,8 +53,9 @@ _TILE = 1 << 13
 
 
 def _check_tube(epsilon: float, B: float, field: str) -> None:
-    """The radii and field of a tube experiment: 0 < epsilon < B, 2B finite."""
-    if not (0 < epsilon < B and math.isfinite(2 * B)):
+    """The radii and field of a tube experiment: real 0 < epsilon < B, 2B finite."""
+    real = isinstance(epsilon, numbers.Real) and isinstance(B, numbers.Real)
+    if not (real and 0 < epsilon < B and math.isfinite(2 * B)):
         raise ValueError(
             f"need 0 < epsilon < B and 2B finite, got epsilon={epsilon!r}, B={B!r}"
         )

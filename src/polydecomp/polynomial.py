@@ -21,7 +21,7 @@ from __future__ import annotations
 import cmath
 import math
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -324,25 +324,20 @@ def _dth_root(u: Sequence, d: int, k: int, exact: bool) -> list:
     return q
 
 
-def _taylor_terms(f: Polynomial, h: Polynomial, d: int) -> Iterator[Polynomial]:
-    """Yield G_0, ..., G_d of f = sum_i G_i h^i lazily, one division each."""
-    e = h.degree
-    if e < 1:
-        raise ValueError("expansion base must be nonconstant")
-    if f.degree > d * e:
-        raise ValueError("degree of f exceeds d * deg h")
-    r = f
-    for _ in range(d + 1):
-        r, rem = divmod(r, h)
-        yield rem
-
-
 def taylor_coefficients(f: Polynomial, h: Polynomial, d: int) -> tuple:
     """Generalized Taylor expansion f = sum_i G_i h^i with deg G_i < deg h.
 
     Returns (G_0, ..., G_d), computed by repeated division with remainder.
     """
-    return tuple(_taylor_terms(f, h, d))
+    if h.degree < 1:
+        raise ValueError("expansion base must be nonconstant")
+    if f.degree > d * h.degree:
+        raise ValueError("degree of f exceeds d * deg h")
+    gs, r = [], f
+    for _ in range(d + 1):
+        r, rem = divmod(r, h)
+        gs.append(rem)
+    return tuple(gs)
 
 
 # -- text format ---------------------------------------------------------------

@@ -7,6 +7,7 @@ import mpmath
 import numpy as np
 import pytest
 
+from polydecomp import decompose
 from polydecomp.decompose import (
     Decomposition,
     DivisorError,
@@ -345,8 +346,8 @@ def rand_float_monic_original(rng, deg):
 
 
 class TestEarlyExit:
-    """Exact try_decompose stops at the first non-constant Taylor coefficient;
-    its answer must equal the rule applied to the whole expansion.  Float
+    """Exact try_decompose solves for g top down and compares; its answer
+    must equal the rule applied to the whole Taylor expansion.  Float
     input runs no Taylor division, and its answer must match that rule on the
     exact input it was rounded from."""
 
@@ -374,6 +375,24 @@ class TestEarlyExit:
             for i in range(1, n):
                 moved = f + Polynomial([0] * i + [Fraction(1, 2)])
                 assert repr(try_decompose(moved, d)) == repr(reference_try_decompose(moved, d))
+
+    @pytest.mark.parametrize("n", [12, 24, 30])
+    def test_compare_rejects_near_misses_that_pass_the_root(self, n):
+        # the near misses above, counted: a try that the continued root
+        # passes and try_decompose still rejects was rejected by the g-solve's
+        # compare, so that path is exercised at every n
+        rng = random.Random(500 + n)
+        compared_away = 0
+        for d in proper_divisors(n):
+            f = compose(rand_monic_original(rng, d), rand_monic_original(rng, n // d))
+            tries = [(f, k) for k in proper_divisors(n)]
+            tries += [(f + Polynomial([0] * i + [Fraction(1, 2)]), d) for i in range(1, n)]
+            for p, k in tries:
+                got = try_decompose(p, k)
+                assert repr(got) == repr(reference_try_decompose(p, k))
+                passed_root = decompose._integer_components(p, k, prove=True) is not None
+                compared_away += passed_root and got is None
+        assert compared_away >= 1
 
     @pytest.mark.parametrize("n,d", [(12, 3), (30, 5), (60, 6), (64, 8)])
     def test_float_matches_full_expansion(self, n, d):
@@ -404,8 +423,9 @@ class TestEarlyExit:
         # a*x*h^j has degree at most (d-2)e + 1, so it leaves the top e - 1
         # coefficients (and so h) unchanged, and adds a*x to G_j alone.  At
         # j = d-2 it reaches x^((d-2)e+1), the lowest index of the top
-        # complement block, where the continued integer root rejects it
-        # before any division; below that the expansion runs to G_j.
+        # complement block, where the continued integer root rejects it;
+        # below that the g-solve's compare rejects it.  No try, exact or
+        # float, runs a polynomial division.
         rng = random.Random(n * d)
         e = n // d
         g, h = rand_monic_original(rng, d), rand_monic_original(rng, e)
@@ -426,7 +446,7 @@ class TestEarlyExit:
             divisions.clear()
             assert try_decompose(f, d) is None
             monkeypatch.undo()
-            assert len(divisions) == (0 if field is float or j == d - 2 else j + 1)
+            assert divisions == []
 
 
 class TestIsDecomposable:

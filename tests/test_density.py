@@ -404,6 +404,15 @@ class TestTubeSpec:
         with pytest.raises(ValueError, match="epsilon=nan"):
             estimate_subspace_density(5, 2, math.nan, 1.0, 10)
 
+    @pytest.mark.parametrize("value", ["0.1", None, 1j])
+    def test_non_real_radius_rejected(self, value):
+        # these used to escape as a TypeError from the comparison
+        for epsilon, B in ((value, 1.0), (0.1, value)):
+            with pytest.raises(ValueError, match="need 0 < epsilon < B"):
+                TubeSpec(12, 3, epsilon, B)
+            with pytest.raises(ValueError, match="need 0 < epsilon < B"):
+                estimate_subspace_density(5, 2, epsilon, B, 10)
+
 
 class TestEstimators:
     def test_sandwich_conditional(self):

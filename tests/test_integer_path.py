@@ -3,6 +3,8 @@
 import hashlib
 import math
 import random
+import sys
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import pytest
@@ -195,8 +197,8 @@ def test_continued_root_is_the_root_of_the_scaled_reverse(n):
 
 def test_is_decomposable_scales_once_and_tries_every_divisor(monkeypatch):
     # is_decomposable clears the denominators once; at each divisor
-    # try_decompose gets the all-int F0, which `_integer_form` returns as it
-    # is, without an lcm or a prime scan
+    # try_decompose gets the caller's f, and `_integer_form` serves its
+    # form from the memo, without another lcm or prime scan
     rng = random.Random(60)
     g, h = rand_monic_original(rng, 6), rand_monic_original(rng, 10)
     f = compose(g, h)
@@ -206,6 +208,51 @@ def test_is_decomposable_scales_once_and_tries_every_divisor(monkeypatch):
     monkeypatch.setattr(decompose, "try_decompose", lambda f, d: tries.append(d) or real_try(f, d))
     assert (6, Decomposition(g=g, h=h)) in is_decomposable(f)
     assert len(lcms) == 1 and tries == list(proper_divisors(60))
+
+
+def test_kept_integer_form_never_leaks_between_inputs(monkeypatch):
+    # distinct degree-12 inputs, one equal in value to another but a
+    # different Polynomial, tried in turn and from 2 threads: every answer is
+    # the one a call with no kept integer form gives
+    rng = random.Random(12)
+    f = compose(rand_monic_original(rng, 3), rand_monic_original(rng, 4))
+    inputs = [
+        f,
+        Polynomial(list(f.coeffs)),
+        compose(rand_with_denominators(rng, 2, [1, 97]), rand_with_denominators(rng, 6, [2, M61])),
+        compose(rand_monic_original(rng, 4, den=1), rand_monic_original(rng, 3, den=1)),
+        rand_monic_original(rng, 12),
+    ]
+    calls = [(op, p, d) for p in inputs for op in (try_decompose, right_component) for d in (2, 3, 4, 6)]
+    calls += [(is_decomposable, p) for p in inputs]
+
+    def answer(k):
+        op, *args = calls[k]
+        return repr(op(*args))
+
+    def fresh(k):
+        monkeypatch.setattr(decompose, "_form_memo", (None, None))
+        return answer(k)
+
+    expected = [fresh(k) for k in range(len(calls))]
+    monkeypatch.undo()
+    # is_decomposable tells the inputs apart, except the two equal in value
+    assert expected[-5] == expected[-4] and len(set(expected[-5:])) == 4
+    order = random.Random(0).sample(range(len(calls)), len(calls))
+    assert [answer(k) for k in order] == [expected[k] for k in order]
+
+    def run(seed):
+        picks = random.Random(seed).choices(range(len(calls)), k=100)
+        return [answer(k) == expected[k] for k in picks]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(2) as pool:
+            results = list(pool.map(run, (1, 2), timeout=60))
+    finally:
+        sys.setswitchinterval(interval)
+    assert [len(r) for r in results] == [100, 100] and all(map(all, results))
 
 
 def test_exact_input_never_runs_the_float_polish(monkeypatch):
