@@ -3,10 +3,11 @@
 The Monte Carlo estimators run it over millions of numpy float64/complex128
 rows; `decompose.section_components` runs it over one dtype=object row of
 Python scalars, so exact input stays exact.  The kernel is coefficient-major:
-the input is transposed once, so that each coefficient is one contiguous
-length-N vector.  The d-th root of the reversed top coefficients is
-`polynomial._dth_root`, the scalar loop of `series_dth_root`, run over
-rows.  One buffer holds the transposed input, h, its powers and g.  Each
+it reads the input in place through its transpose, one length-N row per
+coefficient, and computes on contiguous rows.  The d-th root of the reversed
+top coefficients is `polynomial._dth_root`, the scalar loop of
+`series_dth_root`, run over rows.  One buffer holds h, its powers and g; the
+root reads its input rows from h's place before h is written there.  Each
 power h^j is one (e*j + 1, N) slice of it, built in place row by row from
 h^(j-1); g is solved top down from the determining coefficients, and
 f = sum g_j h^j is summed in place over the powers.  The buffer is not
@@ -51,23 +52,21 @@ def _section(coords: np.ndarray, d: int) -> tuple[np.ndarray, list]:
     section at the coefficient-major transpose of `section_batch`'s input."""
     k, N = coords.shape
     e = k - d + 2
-    # one buffer, written and not zeroed, holds the input, h, its powers and
-    # g: malloc can hand it back to the next call, where an array per power
-    # faults in new pages
-    rest = np.empty((k + sum(e * j + 1 for j in range(1, d + 1)) + d, N), dtype=coords.dtype)
-    rest[:k] = coords
-    coords, rest = rest[:k], rest[k:]
-    one = np.ones((1, N), dtype=coords.dtype)
-    tmp = np.empty_like(one[0])
+    # one buffer, written and not zeroed, holds h, its powers and g: malloc
+    # can hand it back to the next call, where an array per power faults in
+    # new pages.  The input is read in place, not copied into it
+    rest = np.empty((sum(e * j + 1 for j in range(1, d + 1)) + d, N), dtype=coords.dtype)
+    tmp = np.empty(N, dtype=coords.dtype)
 
-    # the root of the reversed top coefficients [1, f_{n-1}, ..., f_{n-e+1}]
-    # gives the right component h, rows 0..e ascending
-    q = series_root_batch(np.concatenate([one, coords[d - 1 :][::-1]]), d)
+    # the root of the reversed top coefficients [1, f_{n-1}, ..., f_{n-e+1}],
+    # read from h's rows e..1, gives the right component h, rows 0..e ascending
+    h, rest = rest[: e + 1], rest[e + 1 :]
+    h[1:e], h[e] = coords[d - 1 :], 1
+    q = series_root_batch(h[:0:-1], d)
+    h[0], h[1:e] = 0, q[:0:-1]
 
     # row m of h^j is sum_i h_i h^(j-1)[m-i] over i = lo..hi, where h^(j-1)
     # is nonzero (rows j-1 .. e(j-1)), in ascending i; h_e = 1 comes last
-    h, rest = rest[: e + 1], rest[e + 1 :]
-    h[0], h[1:e], h[e] = 0, q[:0:-1], 1
     powers = [None, h]
     for j in range(2, d + 1):
         prev = powers[-1]

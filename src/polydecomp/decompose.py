@@ -333,7 +333,8 @@ def try_decompose(f: Polynomial, d: int) -> Decomposition | None:
     step ends the polish as a stalled one does; a singular first fit,
     overflow and a non-finite rho reject.
     """
-    if f.is_exact():
+    # a kept integer form of f.coeffs proves f exact without the type scan
+    if _form_memo[0] is f.coeffs or f.is_exact():
         if (found := _integer_components(f, d, prove=True)) is None:
             return None
         c, F, H = found

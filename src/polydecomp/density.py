@@ -17,15 +17,18 @@ density.  This module provides
 
 Estimators draw from counter-based Philox streams keyed by (seed, block) and
 sum the blocks in block order, so results are reproducible and do not depend
-on ``threads``, the number of worker threads that run the blocks.  Both
-modes run one block worker.  It fills one float64 value x per sample, tile
-by tile: the union indicator as 0.0 or 1.0 in plain mode, the product of
-the field's overlap weights in conditional mode.  Each tile is drawn from
-its part of the block's stream (every coordinate in plain mode, the
-determining ones in conditional mode), solved and weighed in place, so x is
-the only block-sized array (the powers of h for one (64, 8) tile hold about
-19 MB).  Every draw, per-sample value and summation order is that of an
-untiled block, so the tile size never changes a result.  The section is
+on ``threads``, the number of block workers.  Both modes run one block
+worker.  It fills one float64 value x per sample, tile by tile: the union
+indicator as 0.0 or 1.0 in plain mode, the product of the field's overlap
+weights in conditional mode.  Each tile is drawn from its part of the
+block's stream (every coordinate in plain mode, the determining ones in
+conditional mode), solved and weighed in place, so x is the only
+block-sized array (the powers of h for one (64, 8) tile hold about 19 MB).
+Each worker draws its next tile on one helper thread, in stream order, while
+it solves the current one, so one extra tile of draws is alive while a tile
+is solved; the command line runs one worker plus its helper.  Every draw,
+per-sample value and summation order is that of an untiled block, so
+neither the helper nor the tile size changes a result.  The section is
 read coefficient-major, one contiguous row per complement coefficient, and
 the per-sample weight is the product of one weight per such row, multiplied
 in ascending coefficient order.  A block returns the sum of x (for 0/1
@@ -181,15 +184,16 @@ def disk_overlap_area(dist, r: float, R: float):
     full = math.pi * small * small
     separate = dist >= r + R
     contained = dist <= big - small
-    lens_mask = ~(separate | contained)
-    safe = np.where(lens_mask, dist, 1.0)
-    a1 = np.arccos(np.clip((safe**2 + r * r - R * R) / (2 * safe * r), -1.0, 1.0))
-    a2 = np.arccos(np.clip((safe**2 + R * R - r * r) / (2 * safe * R), -1.0, 1.0))
-    sq = (
-        (-safe + r + R) * (safe + r - R) * (safe - r + R) * (safe + r + R)
-    )
-    lens = r * r * a1 + R * R * a2 - 0.5 * np.sqrt(np.clip(sq, 0.0, None))
-    out = np.ldexp(np.where(separate, 0.0, np.where(contained, full, lens)), 2 * k)
+    # separate wins where both tests hold, as when small is below half an
+    # ulp of big; the lens formula runs only where the disk is clipped
+    out = np.where(separate, 0.0, full)
+    lens = ~(separate | contained)
+    s = dist[lens]
+    a1 = np.arccos(np.clip((s**2 + r * r - R * R) / (2 * s * r), -1.0, 1.0))
+    a2 = np.arccos(np.clip((s**2 + R * R - r * r) / (2 * s * R), -1.0, 1.0))
+    sq = (-s + r + R) * (s + r - R) * (s - r + R) * (s + r + R)
+    out[lens] = r * r * a1 + R * R * a2 - 0.5 * np.sqrt(np.clip(sq, 0.0, None))
+    np.ldexp(out, 2 * k, out=out)
     if out.ndim == 0:
         return float(out)
     return out
@@ -356,8 +360,14 @@ def _estimate(models, field, epsilon, B, samples, seed, mode, threads) -> Estima
         rows = min(_BLOCK_SIZE, samples - start)
         draw = sample(seed, start // _BLOCK_SIZE, rows, width, B)
         x = np.empty(rows)
-        for lo in range(0, rows, _TILE):
-            values(draw(min(_TILE, rows - lo)), x[lo : lo + _TILE])
+        # the helper draws tile t + 1, in stream order, while tile t is solved
+        with ThreadPoolExecutor(max_workers=1) as helper:
+            tile = helper.submit(draw, min(_TILE, rows))
+            for lo in range(0, rows, _TILE):
+                a = tile.result()
+                if lo + _TILE < rows:
+                    tile = helper.submit(draw, min(_TILE, rows - lo - _TILE))
+                values(a, x[lo : lo + _TILE])
         k = math.frexp(x.max())[1]  # the block's frame 2^k
         s = float(x.sum())
         np.ldexp(x, -k, out=x)
@@ -403,8 +413,11 @@ def estimate_density(
     each sample realizes the inner integral of the density exactly, which
     cuts the variance drastically.
 
-    ``threads`` worker threads run the sample blocks; ``None`` means one.
-    The result never depends on the worker count.
+    ``threads`` counts the block workers; ``None`` means one.  Each worker
+    draws its next tile of samples on one helper thread while it solves
+    the current one, so one extra tile of draws is alive while a tile is
+    solved; the command line runs one worker plus its helper.  The result
+    never depends on the worker count.
     """
     if mode == "conditional" and spec.is_union:
         raise ValueError("conditional mode is not supported for the union target")

@@ -1,6 +1,7 @@
 import math
 import random
 import re
+import threading
 import tracemalloc
 import warnings
 from fractions import Fraction
@@ -248,6 +249,43 @@ class TestLensArea:
             with pytest.raises(ValueError, match="radii must be finite"):
                 disk_overlap_area(0.0, r, R)
 
+    @staticmethod
+    def lens_area_at_every_element(dist, r, R):
+        # the lens formula evaluated at every element, 1.0 standing in for
+        # the distance where the disk is not clipped, then selected
+        k = math.frexp(max(r, R))[1]
+        dist = np.ldexp(np.abs(np.asarray(dist, dtype=np.float64)), -k)
+        r, R = math.ldexp(r, -k), math.ldexp(R, -k)
+        small, big = (r, R) if r <= R else (R, r)
+        separate = dist >= r + R
+        contained = dist <= big - small
+        safe = np.where(~(separate | contained), dist, 1.0)
+        a1 = np.arccos(np.clip((safe**2 + r * r - R * R) / (2 * safe * r), -1.0, 1.0))
+        a2 = np.arccos(np.clip((safe**2 + R * R - r * r) / (2 * safe * R), -1.0, 1.0))
+        sq = (-safe + r + R) * (safe + r - R) * (safe - r + R) * (safe + r + R)
+        lens = r * r * a1 + R * R * a2 - 0.5 * np.sqrt(np.clip(sq, 0.0, None))
+        full = math.pi * small * small
+        return np.ldexp(np.where(separate, 0.0, np.where(contained, full, lens)), 2 * k)
+
+    # (1e-17, 1): eps is below half an ulp of B, so at B both the separate
+    # and the contained test hold, and separate decides
+    @pytest.mark.parametrize("epsilon,B", [(0.1, 1.0), (0.39, 1.3), (1e-300, 1.0), (2.0, 1e10), (1e-17, 1.0)])
+    def test_lens_subset_at_the_clip_edges(self, epsilon, B):
+        edges = [0.0, 5e-324]
+        for t in (B - epsilon, B + epsilon):
+            edges += [t, math.nextafter(t, math.inf), math.nextafter(t, -math.inf)]
+        no_lens = [0.0, 5e-324, 0.5 * (B - epsilon), B + epsilon, 3.0 * B]
+        for row in (edges, no_lens, [-t for t in edges]):
+            want = self.lens_area_at_every_element(row, epsilon, B)
+            got = disk_overlap_area(np.array(row), epsilon, B)
+            assert got.tobytes() == want.tobytes(), row
+            for t, w in zip(row, want.tolist()):
+                got = disk_overlap_area(t, epsilon, B)
+                assert type(got) is float and got.hex() == w.hex(), t
+        dist = np.ldexp(np.array(no_lens), -math.frexp(B)[1])
+        r, R = math.ldexp(epsilon, -math.frexp(B)[1]), math.ldexp(B, -math.frexp(B)[1])
+        assert ((dist >= r + R) | (dist <= R - r)).all()
+
     def test_zero_radius_has_no_overlap(self):
         # this used to divide by the zero radius and warn
         with warnings.catch_warnings():
@@ -494,6 +532,41 @@ class TestEstimators:
             results = [estimate(target, mode, samples, seed=88, threads=t) for t in (None, 1, 2, 4)]
             assert all(r == results[0] for r in results), (target, mode)
 
+    def test_helper_threads_end_with_the_call(self, monkeypatch):
+        # each block worker draws on one helper thread; none outlives the
+        # call, whether it returns or raises on the worker or the helper
+        before = threading.active_count()
+        for spec, mode in [
+            (TubeSpec(12, 3, 0.1, 1.0, "complex"), "conditional"),
+            (TubeSpec(6, None, 0.15, 1.0), "plain"),
+        ]:
+            results = [estimate_density(spec, 150_001, seed=7, mode=mode, threads=t) for t in (None, 1, 2)]
+            assert results[0] == results[1] == results[2]
+            assert threading.active_count() == before
+        overflowing = TubeSpec(12, 3, 1e39, 1e40, "real")
+        for threads in (None, 1, 2):
+            with pytest.raises(ValueError, match="overflows"):
+                estimate_density(overflowing, 150_001, mode="plain", threads=threads)
+            assert threading.active_count() == before
+
+        def sample(*args):  # the second tile of each block fails to draw
+            draw = density._sample_box(*args)
+            tiles = []
+
+            def failing(t):
+                tiles.append(t)
+                if len(tiles) == 2:
+                    raise RuntimeError("draw failed")
+                return draw(t)
+
+            return failing
+
+        monkeypatch.setitem(density._FIELDS, "real", (sample, density._box_weights))
+        for threads in (None, 1, 2):
+            with pytest.raises(RuntimeError, match="draw failed"):
+                estimate_density(TubeSpec(20, 5, 0.1, 1.0), 150_001, mode="conditional", threads=threads)
+            assert threading.active_count() == before
+
     def test_bad_threads(self):
         spec = TubeSpec(n=6, d=2, epsilon=0.1, B=1.0)
         for threads in (0, -3, 2.5):
@@ -645,7 +718,8 @@ class TestRowTiles:
             assert [estimate(*case, seed) for case in self.CASES] == default, tile
 
     def test_peak_memory_of_a_block(self):
-        # a worker holds one tile and the block's x: 22.4 and 10.6 MiB.
+        # a worker holds one tile's section, the draws of two tiles (its
+        # helper draws the next) and the block's x: 23.1 and 11.8 MiB.
         # A whole-block sample array and a gathered copy of the complement
         # rows held 28.5 and 22.3 MiB, a whole-block section about 170 MB
         for spec, mode, mib in [

@@ -145,9 +145,10 @@ class TestScale:
 
     @pytest.mark.parametrize("n", [12, 24, 36])
     def test_integer_form_decides_as_try_decompose_does(self, n):
-        # is_decomposable tries each divisor on c0^n f(x/c0) and scales the
-        # witnesses back; each result, Fraction and int 0 alike, is the one
-        # try_decompose gives on f itself
+        # is_decomposable tries each divisor on f itself, keeps the integer
+        # form c0^n f(x/c0) of the first, and scales each witness back once;
+        # each result, Fraction and int 0 alike, is the one try_decompose
+        # gives on f alone
         rng = random.Random(400 + n)
         dens = [1, 2, 9, 97, 4 * 97, M61]
         for d in proper_divisors(n):
