@@ -11,8 +11,10 @@ root reads its input rows from h's place before h is written there.  Each
 power h^j is one (e*j + 1, N) slice of it, built in place row by row from
 h^(j-1); g is solved top down from the determining coefficients, and
 f = sum g_j h^j is summed in place over the powers.  The buffer is not
-zeroed: every row is written, and only the rows below j of h^j, which are
-zero, are set as such.
+zeroed: every row read is written, and only the rows below j of h^j, which
+are zero, are set as such.  `section_block` builds only the top 2e rows of
+each power and g_(d-1), which give the complement rows just below the top
+determining run, byte for byte as `section_batch` gives them.
 
 One loop builds each power row: the products of rows of h^(j-1) and h,
 summed over one range i = lo..hi in ascending h index for every dtype, so
@@ -47,11 +49,13 @@ def series_root_batch(u: np.ndarray, d: int) -> np.ndarray:
     return np.array([np.ones_like(u[0]), *q[1:]])
 
 
-def _section(coords: np.ndarray, d: int) -> tuple[np.ndarray, list]:
+def _section(coords: np.ndarray, d: int, rows: range | None = None) -> tuple[np.ndarray, list]:
     """g (rows 1..d-1 used) and the powers [None, h, h^2, ..., h^d] of the
-    section at the coefficient-major transpose of `section_batch`'s input."""
+    section at the coefficient-major transpose of `section_batch`'s input;
+    with ``rows``, only the power rows and g_i that f's rows in it need."""
     k, N = coords.shape
     e = k - d + 2
+    rows = range(1, e * d + 1) if rows is None else rows
     # one buffer, written and not zeroed, holds h, its powers and g: malloc
     # can hand it back to the next call, where an array per power faults in
     # new pages.  The input is read in place, not copied into it
@@ -72,7 +76,7 @@ def _section(coords: np.ndarray, d: int) -> tuple[np.ndarray, list]:
         prev = powers[-1]
         p, rest = rest[: e * j + 1], rest[e * j + 1 :]
         p[:j] = 0
-        for m in range(j, e * j + 1):
+        for m in range(max(j, rows[0] - e * (d - j)), min(e * j, rows[-1]) + 1):
             lo, hi = max(1, m - e * (j - 1)), min(e, m - j + 1)
             if coords.dtype == np.float64:
                 np.einsum("ij,ij->j", prev[m - hi : m - lo + 1][::-1], h[lo : hi + 1], out=p[m])
@@ -85,7 +89,7 @@ def _section(coords: np.ndarray, d: int) -> tuple[np.ndarray, list]:
 
     # g_i = f_(e*i) - sum_{j>i} g_j [h^j]_(e*i), top down, with g_d = 1
     g = rest
-    for i in range(d - 1, 0, -1):
+    for i in range(d - 1, (rows[0] - 1) // e, -1):
         g[i] = coords[i - 1]
         for j in range(i + 1, d):
             np.multiply(g[j], powers[j][e * i], out=tmp)
@@ -121,3 +125,18 @@ def section_batch(nt_coords: np.ndarray, n: int, d: int) -> np.ndarray:
         if j > 1:
             powers[j][: e * (j - 1) + 1] += powers[j - 1]
     return powers[d][1:n].T
+
+
+def section_block(nt_coords: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """The rows f_m, (d-2)e < m < (d-1)e, of `section_batch` at the same
+    input, byte for byte, coefficient-major (e-1, N), and the root h (rows
+    0..e).  There f_m = [h^d]_m + g_(d-1) [h^(d-1)]_m, which needs only the
+    top 2e rows of each power.  The caller validates the input."""
+    coords = nt_coords.T
+    e = len(coords) - d + 2
+    rows = range((d - 2) * e + 1, (d - 1) * e + 1)  # with f_((d-1)e), for g_(d-1)
+    g, powers = _section(coords, d, rows)
+    # as the assembly of section_batch sums them; at d = 2, [h^2]_1 is 0
+    f = powers[d][rows[0] : rows[-1]]
+    f += g[d - 1] * powers[d - 1][rows[0] : rows[-1]]
+    return f, powers[1]

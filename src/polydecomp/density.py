@@ -17,23 +17,27 @@ density.  This module provides
 
 Estimators draw from counter-based Philox streams keyed by (seed, block) and
 sum the blocks in block order, so results are reproducible and do not depend
-on ``threads``, the number of block workers.  Both modes run one block
-worker.  It fills one float64 value x per sample, tile by tile: the union
-indicator as 0.0 or 1.0 in plain mode, the product of the field's overlap
-weights in conditional mode.  Each tile is drawn from its part of the
-block's stream (every coordinate in plain mode, the determining ones in
-conditional mode), solved and weighed in place, so x is the only
-block-sized array (the powers of h for one (64, 8) tile hold about 19 MB).
-Each worker draws its next tile on one helper thread, in stream order, while
-it solves the current one, so one extra tile of draws is alive while a tile
-is solved; the command line runs one worker plus its helper.  Every draw,
-per-sample value and summation order is that of an untiled block, so
-neither the helper nor the tile size changes a result.  The section is
-read coefficient-major, one contiguous row per complement coefficient, and
-the per-sample weight is the product of one weight per such row, multiplied
-in ascending coefficient order.  A block returns the sum of x (for 0/1
-values an exact hit count) and the sum of its squares in the power-of-two
-frame of its largest x, where a square cannot underflow while x does not.
+on ``threads``, the number of block workers.  A block worker fills one
+float64 value x per sample, tile by tile: the union indicator as 0.0 or 1.0
+in plain mode, the product of the field's overlap weights in conditional
+mode.  Each tile is drawn from its part of the block's stream (every
+coordinate in plain mode, the determining ones in conditional mode), solved
+and weighed in place, so x is the only block-sized array (the powers of h
+for one (64, 8) tile hold about 19 MB).  Each worker draws its next tile on
+one helper thread, in stream order, while it solves the current one, so one
+extra tile of draws is alive while a tile is solved; the command line runs
+one worker plus its helper.  Every draw, per-sample value and summation
+order is that of an untiled block, so neither the helper nor the tile size
+changes a result.  The section is read coefficient-major, one contiguous row
+per complement coefficient, and the per-sample weight is the product of one
+weight per such row, multiplied in ascending coefficient order.  Plain mode
+rejects a miss from the top complement block (`batched.section_block`, the
+section's own bytes) and solves the full section only for the rows that
+pass, so results do not change; where a bound cannot prove the whole section
+finite, the whole tile is solved as before.  A block returns the sum of x
+(for 0/1 values an exact hit count) and the sum of its squares in the
+power-of-two frame of its largest x, where a square cannot underflow while x
+does not.
 """
 
 from __future__ import annotations
@@ -46,7 +50,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .batched import section_batch
+from .batched import section_batch, section_block
 from .decompose import DivisorError, divisor_plan, is_composite, nt_set, section
 
 _BLOCK_SIZE = 1 << 16
@@ -137,13 +141,14 @@ def density_bounds(spec: TubeSpec) -> DensityBounds:
     at d = least prime scaled by delta (1 if n = l^2, else 2), one term per
     component; complex coefficients double both exponents.
 
-    The bracket depends only on eps/B, and its lower bound is false in two
+    The bracket depends only on eps/B, and its lower bound is false in three
     regions (ROADMAP item 8).  At large B: at B = 3, 4 of 16 conditional
     estimates fall below it, and at B = 10 all 16 do.  At B = 1 once r is
     small and n large: at eps = 0.01 the conditional estimate lies below it
     from real (24,4) on (0.849 against 0.923, both divided by r^codim) and
-    from complex (20,5) on.  It is still returned as a number there, since
-    the benchmark's bracket check reads it as one.
+    from complex (20,5) on.  At d = 2 once n is large, even at r = 0.1:
+    real (64,2) gives 1.48e-33 against 3.43e-33.  It is still returned as a
+    number there, since the benchmark's bracket check reads it as one.
     """
     ns = nt_set(spec.n, spec.divisors[0])
     dim = len(ns.nt)  # d + n/d - 2
@@ -228,11 +233,37 @@ class _SectionModel:
         self.ambient = n - 1
         self.free_cols = np.array([i - 1 for i in ns.nt])
         self.dep_cols = np.array([i - 1 for i in ns.complement])
+        # the complement columns just below the top determining run, and the
+        # rest, which all lie below them
+        e = n // d
+        self.block_cols = np.arange((d - 2) * e, (d - 1) * e - 1)
+        self.rest_cols = self.dep_cols[self.dep_cols < (d - 2) * e]
+        # at d > 2 the rows that pass cost a second section call, about what
+        # the block saves where the section has few power rows: per tile,
+        # 7 at (6,3) ran 1.19x, 12 at (8,4) 1.05x and 17 at (12,3) 0.94x
+        self.screens = d == 2 or sum(e * j - j + 1 for j in range(2, d + 1)) > 12
 
     def predict(self, free: np.ndarray) -> np.ndarray:
         # (n-1, N): the coefficient-major section, read in place at the
         # rows dep_cols; section_batch returns a transposed view
         return section_batch(free, self.n, self.d).T
+
+    def block(self, free: np.ndarray, B: float):
+        """f at block_cols (`section_block`), or None where the tile is to be
+        solved whole: for a small section, and where a bound cannot prove the
+        section finite, so that an overflow is reported."""
+        if not self.screens:
+            return None
+        with np.errstate(over="ignore", invalid="ignore"):
+            f, h = section_block(free, self.d)
+            # |[h^j]_m| <= H^j, as H >= every ||h||_1, and |g_i| <= G_i with
+            # G_d = 1 and G_i = B + sum_(j>i) G_j H^j, so |f| <= sum_j G_j H^j:
+            # far below the float64 maximum, no rounding can overflow
+            H = 1.0 + np.abs(h[1:-1]).max(axis=1).sum()
+            bound = H**self.d
+            for i in range(self.d - 1, 0, -1):
+                bound += (B + bound) * H**i
+        return f if bound < 1e300 else None  # False also for a NaN
 
 
 class _SubspaceModel:
@@ -247,6 +278,8 @@ class _SubspaceModel:
 
     def predict(self, free: np.ndarray) -> np.ndarray:
         return np.zeros((self.ambient, free.shape[0]), dtype=free.dtype)
+
+    block = staticmethod(lambda free, B: None)  # every tile is solved whole
 
 
 def _block_rng(seed: int, index: int) -> np.random.Generator:
@@ -339,10 +372,19 @@ def _estimate(models, field, epsilon, B, samples, seed, mode, threads) -> Estima
         width = models[0].ambient
 
         def inside(model, a):  # frees one component's section before the next
-            sec = predict(model, a[:, model.free_cols])
-            hit = np.ones(len(a), dtype=bool)
-            for c in model.dep_cols:
-                hit &= np.abs(a[:, c] - sec[c]) < epsilon
+            free, hit = a[:, model.free_cols], np.ones(len(a), dtype=bool)
+            rows, cols = slice(None), model.dep_cols
+            f = model.block(free, B)
+            if f is not None:  # a miss on the top block needs no section
+                for c, fc in zip(model.block_cols, f):
+                    hit &= np.abs(a[:, c] - fc) < epsilon
+                del f  # its buffer, before the section of the rows that pass
+                rows, cols = np.flatnonzero(hit), model.rest_cols
+                if not (rows.size and cols.size):  # at d = 2 the block is the complement
+                    return hit
+            sec = predict(model, free[rows])
+            for c in cols:
+                hit[rows] &= np.abs(a[rows, c] - sec[c]) < epsilon
             return hit
 
         def values(a, x):  # the union indicator, as 0.0 or 1.0
@@ -412,6 +454,11 @@ def estimate_density(
     coefficient range covered by the epsilon-ball around the section point:
     each sample realizes the inner integral of the density exactly, which
     cuts the variance drastically.
+
+    Plain mode rejects a miss on the complement coefficients just below the
+    top determining run and solves the full section only for the samples
+    that pass, or for all where a bound cannot prove it finite; the result
+    is the same either way.
 
     ``threads`` counts the block workers; ``None`` means one.  Each worker
     draws its next tile of samples on one helper thread while it solves

@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from polydecomp.batched import section_batch, series_root_batch
+from polydecomp.batched import section_batch, section_block, series_root_batch
 from polydecomp.decompose import is_composite, nt_set, proper_divisors, section, section_components
 from polydecomp.polynomial import Polynomial, compose, series_dth_root
 
@@ -176,6 +176,24 @@ class TestSectionBatch:
                 # numpy's complex product may round differently in its
                 # vectorized loop and its scalar tail
                 assert_close_to_exact(block[r], alone, 1e-14)
+
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    def test_block_is_the_section_rows_byte_for_byte(self, field):
+        # the plain estimator decides a sample on these rows alone and
+        # must see the bytes the full section gives
+        rng = np.random.default_rng(29)
+        cases = [(n, d) for n in range(4, 31) if is_composite(n) for d in proper_divisors(n)]
+        for n, d in cases + [(64, 8)]:
+            e = n // d
+            shape = (1001, len(nt_set(n, d).nt))
+            rows = rng.uniform(-1, 1, size=shape)
+            if field == "complex":
+                rows = rows + 1j * rng.uniform(-1, 1, size=shape)
+            f, h = section_block(rows, d)
+            want = section_batch(rows, n, d)[:, (d - 2) * e : (d - 1) * e - 1].T
+            assert f.dtype == want.dtype and f.shape == (e - 1, shape[0]), (n, d)
+            assert f.tobytes() == np.ascontiguousarray(want).tobytes(), (n, d)
+            assert h.shape == (e + 1, shape[0]) and (h[0] == 0).all() and (h[e] == 1).all()
 
     def test_all_divisors_up_to_16(self, gaussq):
         rng = np.random.default_rng(5)

@@ -632,8 +632,11 @@ class TestEstimators:
             TubeSpec(12, 3, 1e199, 1e200, "complex"),  # used to give mean NaN
             TubeSpec(12, 3, 1e99, 1e100, "real"),  # used to give mean NaN
             TubeSpec(12, 3, 1e39, 1e40, "real"),  # used to give 0.0, bracket [5.9e-7, 1e-6]
+            # the low coefficients overflow while the top complement block is finite
+            TubeSpec(30, 5, 1e14, 1e15, "real"),
+            TubeSpec(30, 5, 1e19, 1e20, "real"),
         ],
-        ids=["complex-1e200", "real-1e100", "real-1e40"],
+        ids=["complex-1e200", "real-1e100", "real-1e40", "real30-1e15", "real30-1e20"],
     )
     @pytest.mark.parametrize("mode", ["conditional", "plain"])
     def test_overflowing_section_rejected(self, spec, mode):
@@ -733,6 +736,64 @@ class TestRowTiles:
             finally:
                 tracemalloc.stop()
             assert peak < mib * 2**20, (spec, peak)
+
+
+class TestTopBlock:
+    """Plain mode decides a miss from the section's top complement block."""
+
+    # (n, d, epsilon, field, seed, mean, std_error), plain, B = 1, 100,003
+    # samples: recorded before plain mode screened samples on the block
+    PINS = [
+        (6, 2, 0.3, "real", 0, "0x1.7096860311190p-4", "0x1.da7040ba4d815p-11"),
+        (6, 2, 0.3, "real", 1, "0x1.6fba5441df37bp-4", "0x1.d9f073a6a30edp-11"),
+        (6, 2, 0.3, "real", 2, "0x1.6bf5ab0be01fbp-4", "0x1.d7be31206a2e9p-11"),
+        (6, 3, 0.3, "real", 0, "0x1.780adfe2c1645p-4", "0x1.debb909655581p-11"),
+        (6, 3, 0.3, "real", 1, "0x1.6e94bc959cb60p-4", "0x1.d945bd16b2155p-11"),
+        (6, 3, 0.3, "real", 2, "0x1.7205839a643b3p-4", "0x1.db44cfad80208p-11"),
+        (8, 2, 0.3, "real", 0, "0x1.bec73d237e4b3p-6", "0x1.0e05719ad16c3p-11"),
+        (8, 2, 0.3, "real", 1, "0x1.c81deb9e2e229p-6", "0x1.10bfacbd51d41p-11"),
+        (8, 2, 0.3, "real", 2, "0x1.af0cd3e912c5ap-6", "0x1.095b4eff62b74p-11"),
+        (9, 3, 0.3, "real", 0, "0x1.12ea4f4d220f5p-7", "0x1.2e70dfad68cd6p-12"),
+        (9, 3, 0.3, "real", 1, "0x1.07c644c3c090bp-7", "0x1.284cd9b329089p-12"),
+        (9, 3, 0.3, "real", 2, "0x1.15dd430816386p-7", "0x1.300b810e87aa1p-12"),
+        (12, 3, 0.4, "real", 0, "0x1.133e317e59a21p-8", "0x1.acdfc2cbd541dp-13"),
+        (12, 3, 0.4, "real", 1, "0x1.0c08c1439304ep-8", "0x1.a73e74cc20b3ep-13"),
+        (12, 3, 0.4, "real", 2, "0x1.0e000e6ae0759p-8", "0x1.a8c97735b2ac4p-13"),
+        (6, None, 0.1, "real", 0, "0x1.3e7ed2df01518p-6", "0x1.c9cc6d07e5121p-12"),
+        (6, None, 0.1, "real", 1, "0x1.303de3820fe07p-6", "0x1.bfa2c2ad0cee1p-12"),
+        (6, None, 0.1, "real", 2, "0x1.38eccd9a50923p-6", "0x1.c5db2d440b958p-12"),
+        (12, None, 0.4, "real", 0, "0x1.22a4b8878d94fp-6", "0x1.b5b3e32d266b1p-12"),
+        (12, None, 0.4, "real", 1, "0x1.34566ee9468b3p-6", "0x1.c294dbaa1a724p-12"),
+        (12, None, 0.4, "real", 2, "0x1.2df2b4298adcfp-6", "0x1.bdfa1e2e65288p-12"),
+        (6, 2, 0.3, "complex", 0, "0x1.1439d812005a7p-7", "0x1.2f27a755c306ap-12"),
+        (6, 2, 0.3, "complex", 1, "0x1.047f6ed794d4dp-7", "0x1.26780ab000016p-12"),
+        (6, 2, 0.3, "complex", 2, "0x1.08c1eb5767490p-7", "0x1.28d8e918847ecp-12"),
+        (12, 3, 0.3, "complex", 0, "0x0.0p+0", "0x0.0p+0"),
+        (12, 3, 0.3, "complex", 1, "0x0.0p+0", "0x0.0p+0"),
+        (12, 3, 0.3, "complex", 2, "0x0.0p+0", "0x0.0p+0"),
+        (12, 3, 0.6, "complex", 0, "0x1.b5c470da0606bp-10", "0x1.0ec7532ca6051p-13"),
+        (12, 3, 0.6, "complex", 1, "0x1.f9ec38d72d49ap-10", "0x1.230e9f109dcbbp-13"),
+        (12, 3, 0.6, "complex", 2, "0x1.c57eda14718c4p-10", "0x1.139779442f953p-13"),
+    ]
+
+    @pytest.mark.parametrize("n,d,epsilon,field,seed,mean,std_error", PINS)
+    def test_plain_estimates_are_unchanged(self, n, d, epsilon, field, seed, mean, std_error):
+        r = estimate_density(TubeSpec(n, d, epsilon, 1.0, field), 100_003, seed=seed)
+        assert (r.mean, r.std_error) == (float.fromhex(mean), float.fromhex(std_error))
+
+    def test_misses_need_no_section(self, monkeypatch):
+        # plain (30,5) has no hit in 100,000 samples; the full section ran
+        # on every row before the block decided the misses
+        solved = []
+
+        def counting(free, n, d):
+            solved.append(len(free))
+            return section_batch(free, n, d)
+
+        monkeypatch.setattr(density, "section_batch", counting)
+        r = estimate_density(TubeSpec(30, 5, 0.1, 1.0), 100_000, seed=0)
+        assert r.mean == 0.0
+        assert sum(solved) < 1000, solved
 
 
 class TestAgainstQuadrature:
