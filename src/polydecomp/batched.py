@@ -14,7 +14,8 @@ f = sum g_j h^j is summed in place over the powers.  The buffer is not
 zeroed: every row read is written, and only the rows below j of h^j, which
 are zero, are set as such.  `section_block` builds only the top 2e rows of
 each power and g_(d-1), which give the complement rows just below the top
-determining run, byte for byte as `section_batch` gives them.
+determining run, byte for byte as `section_batch` gives them, where a
+bound from the root and B proves the whole section finite.
 
 One loop builds each power row: the products of rows of h^(j-1) and h,
 summed over one range i = lo..hi in ascending h index for every dtype, so
@@ -127,16 +128,25 @@ def section_batch(nt_coords: np.ndarray, n: int, d: int) -> np.ndarray:
     return powers[d][1:n].T
 
 
-def section_block(nt_coords: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]:
+def section_block(nt_coords: np.ndarray, d: int, B: float) -> np.ndarray | None:
     """The rows f_m, (d-2)e < m < (d-1)e, of `section_batch` at the same
-    input, byte for byte, coefficient-major (e-1, N), and the root h (rows
-    0..e).  There f_m = [h^d]_m + g_(d-1) [h^(d-1)]_m, which needs only the
-    top 2e rows of each power.  The caller validates the input."""
+    input, byte for byte, coefficient-major (e-1, N), or None where no bound
+    proves the whole section finite for coordinates of modulus <= B.  There
+    f_m = [h^d]_m + g_(d-1) [h^(d-1)]_m, from the top 2e rows of each power.
+    The caller validates the input."""
     coords = nt_coords.T
     e = len(coords) - d + 2
     rows = range((d - 2) * e + 1, (d - 1) * e + 1)  # with f_((d-1)e), for g_(d-1)
-    g, powers = _section(coords, d, rows)
-    # as the assembly of section_batch sums them; at d = 2, [h^2]_1 is 0
-    f = powers[d][rows[0] : rows[-1]]
-    f += g[d - 1] * powers[d - 1][rows[0] : rows[-1]]
-    return f, powers[1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        g, powers = _section(coords, d, rows)
+        # as the assembly of section_batch sums them; at d = 2, [h^2]_1 is 0
+        f = powers[d][rows[0] : rows[-1]]
+        f += g[d - 1] * powers[d - 1][rows[0] : rows[-1]]
+        # |[h^j]_m| <= H^j, as H >= every ||h||_1, and |g_i| <= G_i with
+        # G_d = 1 and G_i = B + sum_(j>i) G_j H^j, so |f| <= sum_j G_j H^j:
+        # far below the float64 maximum, no rounding can overflow
+        H = 1.0 + np.abs(powers[1][1:e]).max(axis=1).sum()
+        bound = H**d
+        for i in range(d - 1, 0, -1):
+            bound += (B + bound) * H**i
+    return f if bound < 1e300 else None  # False also for a NaN

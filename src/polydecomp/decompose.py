@@ -444,6 +444,8 @@ def section_components(b: Mapping[int, object], n: int, d: int) -> tuple[Polynom
     b maps each index of nt_set(n, d).nt to a scalar.  The kernel runs on one
     dtype=object row, so ints and Fractions stay exact and floats stay floats.
     """
+    if missing := [i for i in nt_set(n, d).nt if i not in b]:
+        raise ValueError(f"b lacks the determining indices {missing} of (n, d) = ({n}, {d})")
     coords = np.array([[b[i]] for i in nt_set(n, d).nt], dtype=object)
     g, powers = _section(coords, d)
     return Polynomial([0, *g[1:, 0], 1]), Polynomial(powers[1][:, 0])

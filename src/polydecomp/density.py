@@ -33,11 +33,11 @@ per complement coefficient, and the per-sample weight is the product of one
 weight per such row, multiplied in ascending coefficient order.  Plain mode
 rejects a miss from the top complement block (`batched.section_block`, the
 section's own bytes) and solves the full section only for the rows that
-pass, so results do not change; where a bound cannot prove the whole section
-finite, the whole tile is solved as before.  A block returns the sum of x
-(for 0/1 values an exact hit count) and the sum of its squares in the
-power-of-two frame of its largest x, where a square cannot underflow while x
-does not.
+pass, so results do not change; where `section_block` cannot prove the whole
+section of a tile finite, the whole tile is solved as before.  A block
+returns the sum of x (for 0/1 values an exact hit count) and the sum of its
+squares in the power-of-two frame of its largest x, where a square cannot
+underflow while x does not.
 """
 
 from __future__ import annotations
@@ -163,7 +163,8 @@ def cheng_bound(n: int, epsilon: float, B: float) -> float:
     """The hypersurface comparison bound (n^2 - 2n) (eps/B)^2."""
     if not is_composite(n):
         raise DivisorError(f"degree {n} is not composite")
-    if not (0 <= epsilon < B):
+    real = isinstance(epsilon, numbers.Real) and isinstance(B, numbers.Real)
+    if not (real and 0 <= epsilon < B):
         raise ValueError("need 0 <= epsilon < B")
     return (n * n - 2 * n) * (epsilon / B) ** 2
 
@@ -178,7 +179,8 @@ def disk_overlap_area(dist, r: float, R: float):
     by 2^(2k).  Radii must be finite and >= 0; a disk of radius 0 has no
     overlap.  The distance is taken as |dist|.
     """
-    if not (0 <= r < math.inf and 0 <= R < math.inf):  # also rejects NaN
+    real = isinstance(r, numbers.Real) and isinstance(R, numbers.Real)
+    if not (real and 0 <= r < math.inf and 0 <= R < math.inf):  # also rejects NaN
         raise ValueError(f"disk radii must be finite and >= 0, got r={r!r}, R={R!r}")
     if r == 0 or R == 0:
         return 0.0 if np.ndim(dist) == 0 else np.zeros(np.shape(dist))
@@ -233,11 +235,7 @@ class _SectionModel:
         self.ambient = n - 1
         self.free_cols = np.array([i - 1 for i in ns.nt])
         self.dep_cols = np.array([i - 1 for i in ns.complement])
-        # the complement columns just below the top determining run, and the
-        # rest, which all lie below them
         e = n // d
-        self.block_cols = np.arange((d - 2) * e, (d - 1) * e - 1)
-        self.rest_cols = self.dep_cols[self.dep_cols < (d - 2) * e]
         # at d > 2 the rows that pass cost a second section call, about what
         # the block saves where the section has few power rows: per tile,
         # 7 at (6,3) ran 1.19x, 12 at (8,4) 1.05x and 17 at (12,3) 0.94x
@@ -247,23 +245,6 @@ class _SectionModel:
         # (n-1, N): the coefficient-major section, read in place at the
         # rows dep_cols; section_batch returns a transposed view
         return section_batch(free, self.n, self.d).T
-
-    def block(self, free: np.ndarray, B: float):
-        """f at block_cols (`section_block`), or None where the tile is to be
-        solved whole: for a small section, and where a bound cannot prove the
-        section finite, so that an overflow is reported."""
-        if not self.screens:
-            return None
-        with np.errstate(over="ignore", invalid="ignore"):
-            f, h = section_block(free, self.d)
-            # |[h^j]_m| <= H^j, as H >= every ||h||_1, and |g_i| <= G_i with
-            # G_d = 1 and G_i = B + sum_(j>i) G_j H^j, so |f| <= sum_j G_j H^j:
-            # far below the float64 maximum, no rounding can overflow
-            H = 1.0 + np.abs(h[1:-1]).max(axis=1).sum()
-            bound = H**self.d
-            for i in range(self.d - 1, 0, -1):
-                bound += (B + bound) * H**i
-        return f if bound < 1e300 else None  # False also for a NaN
 
 
 class _SubspaceModel:
@@ -279,7 +260,7 @@ class _SubspaceModel:
     def predict(self, free: np.ndarray) -> np.ndarray:
         return np.zeros((self.ambient, free.shape[0]), dtype=free.dtype)
 
-    block = staticmethod(lambda free, B: None)  # every tile is solved whole
+    screens = False  # every tile is solved whole
 
 
 def _block_rng(seed: int, index: int) -> np.random.Generator:
@@ -374,12 +355,15 @@ def _estimate(models, field, epsilon, B, samples, seed, mode, threads) -> Estima
         def inside(model, a):  # frees one component's section before the next
             free, hit = a[:, model.free_cols], np.ones(len(a), dtype=bool)
             rows, cols = slice(None), model.dep_cols
-            f = model.block(free, B)
+            f = section_block(free, model.d, B) if model.screens else None
             if f is not None:  # a miss on the top block needs no section
-                for c, fc in zip(model.block_cols, f):
+                # f holds the last len(f) complement rows: every complement
+                # index above them lies in the top determining run
+                cols, top = cols[: -len(f)], cols[-len(f) :]
+                for c, fc in zip(top, f):
                     hit &= np.abs(a[:, c] - fc) < epsilon
                 del f  # its buffer, before the section of the rows that pass
-                rows, cols = np.flatnonzero(hit), model.rest_cols
+                rows = np.flatnonzero(hit)
                 if not (rows.size and cols.size):  # at d = 2 the block is the complement
                     return hit
             sec = predict(model, free[rows])

@@ -189,11 +189,19 @@ class TestSectionBatch:
             rows = rng.uniform(-1, 1, size=shape)
             if field == "complex":
                 rows = rows + 1j * rng.uniform(-1, 1, size=shape)
-            f, h = section_block(rows, d)
+            f = section_block(rows, d, 2.0)  # |z| <= sqrt(2) in both fields
             want = section_batch(rows, n, d)[:, (d - 2) * e : (d - 1) * e - 1].T
             assert f.dtype == want.dtype and f.shape == (e - 1, shape[0]), (n, d)
             assert f.tobytes() == np.ascontiguousarray(want).tobytes(), (n, d)
-            assert h.shape == (e + 1, shape[0]) and (h[0] == 0).all() and (h[e] == 1).all()
+
+    def test_block_is_none_where_no_bound_proves_the_section_finite(self):
+        # the caller then solves the whole section and reports its overflow
+        rng = np.random.default_rng(30)
+        rows = rng.uniform(-1, 1, size=(64, len(nt_set(30, 5).nt)))
+        assert section_block(rows, 5, 1.0).shape == (5, 64)
+        assert section_block(1e15 * rows, 5, 1e15) is None
+        rows[17, 6] = np.nan  # f_26, a coefficient the root h reads
+        assert section_block(rows, 5, 1.0) is None
 
     def test_all_divisors_up_to_16(self, gaussq):
         rng = np.random.default_rng(5)

@@ -542,6 +542,13 @@ class TestSection:
                 g2, _ = section_components(nt_coordinates(f2, d), n, d)
                 assert g2 == g0
 
+    def test_missing_determining_index_rejected(self):
+        # section({5: 1}, 6, 2) used to escape as KeyError: 3; keys outside
+        # the determining set are still ignored
+        with pytest.raises(ValueError, match=r"determining indices \[3, 4\]"):
+            section({5: 1, 1: 7}, 6, 2)
+        assert section({3: 0, 4: 0, 5: 0, 1: 7}, 6, 2) == x_power(6)
+
     def test_section_is_right_inverse_of_projection(self):
         rng = random.Random(131)
         for n, d in [(8, 2), (9, 3), (10, 5)]:

@@ -180,6 +180,10 @@ class TestChengBound:
         for eps in (1.0, 2.0):
             with pytest.raises(ValueError, match="need 0 <= epsilon < B"):
                 cheng_bound(6, eps, 1.0)
+        # non-real radii used to escape as a TypeError from the comparison
+        for eps, B in (("0.1", 1.0), (None, 1.0), (1j, 2.0), (0.1, "1")):
+            with pytest.raises(ValueError, match="need 0 <= epsilon < B"):
+                cheng_bound(6, eps, B)
 
     def test_sharper_than_hypersurface(self):
         assert bounds(6, None, 0.1, 1.0, "complex").upper == pytest.approx(0.0002)
@@ -235,9 +239,13 @@ class TestLensArea:
         assert np.all(np.isfinite(huge))
         np.testing.assert_allclose(huge, 1e160 * unit, rtol=1e-12)
 
-    @pytest.mark.parametrize("r,R", [(-0.5, 1.0), (1.0, -0.5), (math.nan, 1.0), (0.5, math.nan)])
+    @pytest.mark.parametrize(
+        "r,R",
+        [(-0.5, 1.0), (1.0, -0.5), (math.nan, 1.0), (0.5, math.nan), ("1", 2.0), (None, 1.0), (1.0, 1j)],
+    )
     def test_negative_or_nan_radius_rejected(self, r, R):
-        # a radius of -0.5 used to give a positive area, 0.785
+        # a radius of -0.5 used to give a positive area, 0.785; a non-real
+        # one used to escape as a TypeError from the comparison
         with pytest.raises(ValueError, match="radii"):
             disk_overlap_area(0.0, r, R)
 
